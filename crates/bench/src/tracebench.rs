@@ -21,6 +21,7 @@
 //! digest; like `perf`, the digest is the regression guard — timings
 //! move, digests must not.
 
+use flexwatts::scratch::unique_scratch_dir;
 use flexwatts::{
     CheckpointPlan, FlexWattsRuntime, ModePredictor, ReplayFileOptions, RuntimeConfig,
     RuntimeReport, TraceReplayer,
@@ -31,7 +32,7 @@ use pdn_workload::tracefile::{
 };
 use pdn_workload::zoo;
 use pdnspot::{ModelParams, Workers};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::time::Instant;
 
 /// Intervals per scenario in quick mode (4 scenarios → 10 k total).
@@ -111,13 +112,6 @@ fn reports_bitwise_equal(a: &RuntimeReport, b: &RuntimeReport) -> bool {
         && a.time_in_mode == b.time_in_mode
         && a.predictor_evaluations == b.predictor_evaluations
         && a.protection_overrides == b.protection_overrides
-}
-
-fn scratch_dir() -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("flexwatts-tracebench-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("scratch dir");
-    dir
 }
 
 /// Leg 1: zoo generation + chunked encode to disk.
@@ -276,7 +270,7 @@ fn poisoned_leg(rt: &FlexWattsRuntime, path: &Path, total: u64) -> (TraceLeg, u6
 /// Runs all four legs over one freshly encoded zoo trace.
 pub fn run(quick: bool) -> TraceBenchReport {
     let per_scenario = if quick { QUICK_PER_SCENARIO } else { FULL_PER_SCENARIO };
-    let dir = scratch_dir();
+    let dir = unique_scratch_dir("flexwatts-tracebench").expect("scratch dir");
     let path = dir.join("zoo.pdnt");
     let rt = runtime();
 
@@ -287,7 +281,6 @@ pub fn run(quick: bool) -> TraceBenchReport {
     let (resumed, resumed_from) = resumed_leg(&rt, &path, &cold_report, total);
     let (poisoned, chunks_quarantined, intervals_lost) = poisoned_leg(&rt, &path, total);
 
-    let _ = std::fs::remove_dir_all(&dir);
     TraceBenchReport {
         legs: vec![encode, cold, resumed, poisoned],
         file_bytes,

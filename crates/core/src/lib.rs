@@ -63,6 +63,7 @@ pub mod predictor;
 pub mod protection;
 pub mod replay;
 pub mod runtime;
+pub mod scratch;
 pub mod switchflow;
 pub mod topology;
 

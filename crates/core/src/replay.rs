@@ -722,6 +722,7 @@ mod tests {
     use super::*;
     use crate::predictor::ModePredictor;
     use crate::runtime::RuntimeConfig;
+    use crate::scratch::{unique_scratch_dir, ScratchDir};
     use pdn_proc::client_soc;
     use pdn_units::Watts;
     use pdn_workload::tracefile::write_trace_chunked;
@@ -743,12 +744,8 @@ mod tests {
         )
     }
 
-    fn temp_dir(tag: &str) -> PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("flexwatts-replay-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        dir
+    fn temp_dir(tag: &str) -> ScratchDir {
+        unique_scratch_dir(&format!("flexwatts-replay-{tag}")).expect("scratch dir")
     }
 
     fn reports_bitwise_equal(a: &RuntimeReport, b: &RuntimeReport) -> bool {
@@ -780,7 +777,6 @@ mod tests {
         assert!(reports_bitwise_equal(&in_memory, &streamed.report));
         assert_eq!(streamed.intervals_replayed, 120);
         assert_eq!(streamed.defects.total(), 0);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -800,7 +796,6 @@ mod tests {
         let cp_path = dir.join("replay.pdnc");
         cp.save(&cp_path).unwrap();
         assert_eq!(ReplayCheckpoint::load(&cp_path).unwrap(), cp);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -852,7 +847,6 @@ mod tests {
             "resumed replay must be bitwise equal to the uninterrupted one"
         );
         assert_eq!(resumed.intervals_replayed, cold.intervals_replayed);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -900,7 +894,6 @@ mod tests {
             let run = rt.run_streaming(&path, &options).unwrap();
             assert_eq!(run.resumed_from, None);
         }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -946,6 +939,5 @@ mod tests {
             &ReplayFileOptions { policy: DefectPolicy::Strict, ..Default::default() },
         );
         assert!(matches!(strict, Err(ReplayError::Trace(TraceFileError::Defect(_)))));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -4,6 +4,7 @@
 //! run — for any worker count and checkpoint cadence — and checkpoint
 //! decoding never panics on arbitrary bytes.
 
+use flexwatts::scratch::{unique_scratch_dir, ScratchDir};
 use flexwatts::{
     CheckpointPlan, FlexWattsRuntime, ModePredictor, ReplayCheckpoint, ReplayFileOptions,
     RuntimeConfig, RuntimeReport, TraceReplayer,
@@ -15,7 +16,7 @@ use pdn_workload::zoo;
 use pdnspot::{ModelParams, Workers};
 use proptest::collection::vec;
 use proptest::prelude::*;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 
 const TRACE_INTERVALS: u64 = 120;
@@ -41,19 +42,19 @@ fn runtime() -> &'static FlexWattsRuntime {
 /// The shared trace file plus the uninterrupted-run report every case
 /// compares against (cold replay uses a dedicated sensor bank, so the
 /// shared runtime stays untouched).
-fn reference() -> &'static (PathBuf, RuntimeReport) {
-    static REF: OnceLock<(PathBuf, RuntimeReport)> = OnceLock::new();
-    REF.get_or_init(|| {
-        let dir =
-            std::env::temp_dir().join(format!("flexwatts-replay-prop-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("temp dir");
+fn reference() -> (&'static Path, &'static RuntimeReport) {
+    // A static is never dropped, so the scratch dir outlives every case
+    // (and is left in the temp dir when the process exits).
+    static REF: OnceLock<(ScratchDir, PathBuf, RuntimeReport)> = OnceLock::new();
+    let (_, path, report) = REF.get_or_init(|| {
+        let dir = unique_scratch_dir("flexwatts-replay-prop").expect("scratch dir");
         let path = dir.join("mix.pdnt");
         write_trace_chunked(&path, &zoo::zoo_mix(11, 30), 32).unwrap();
         let cold = runtime().run_streaming(&path, &ReplayFileOptions::default()).unwrap();
         assert_eq!(cold.intervals_replayed, TRACE_INTERVALS);
-        (path, cold.report)
-    })
+        (dir, path, cold.report)
+    });
+    (path, report)
 }
 
 fn reports_bitwise_equal(a: &RuntimeReport, b: &RuntimeReport) -> bool {

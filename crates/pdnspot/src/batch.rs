@@ -13,9 +13,10 @@
 //!   is built **exactly once** no matter how many PDNs or threads consume
 //!   it, with the row-invariant front half (bisection solve, virus
 //!   tables, per-domain hoists) computed once per row;
-//! * a scoped-thread worker pool (sized from
-//!   [`std::thread::available_parallelism`]) fans the `pdn × row`
-//!   task lattice out — each task runs the row kernel
+//! * a process-wide pool of parked helper threads, with the calling
+//!   thread as worker 0 (sized from
+//!   [`std::thread::available_parallelism`], resolved once per process),
+//!   fans the `pdn × row` task lattice out — each task runs the row kernel
 //!   ([`Pdn::evaluate_row`]) with a task-local lock-free
 //!   [`RowStage`] — and merges per-point results back into **stable
 //!   lattice order**, so parallel and serial runs return bit-identical
@@ -48,8 +49,10 @@ use pdn_units::{ApplicationRatio, Watts};
 use pdn_workload::WorkloadType;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
+
+mod pool;
 
 /// A source of SoC specifications, one per TDP design point.
 ///
@@ -539,18 +542,31 @@ impl Workers {
         let want = match self {
             Workers::Serial => 1,
             Workers::Fixed(n) => n.max(1),
-            Workers::Auto => std::thread::available_parallelism().map(usize::from).unwrap_or(1),
+            Workers::Auto => {
+                // Resolved once: the query reads cgroup files, ~20 µs a
+                // call on a 2-vCPU Linux host.
+                static AUTO: OnceLock<usize> = OnceLock::new();
+                *AUTO.get_or_init(|| {
+                    std::thread::available_parallelism().map(usize::from).unwrap_or(1)
+                })
+            }
         };
         want.min(tasks.max(1))
     }
 }
 
-/// Applies `f` to every item of `items` on a scoped worker pool,
+/// Applies `f` to every item of `items` on the batch worker pool,
 /// returning results in item order.
 ///
 /// This is the engine's scheduling primitive, exposed for other fan-outs
 /// (the figure kernels and the runtime interval simulator use it
-/// directly). Each worker owns a contiguous range of the items and pulls
+/// directly). The calling thread is worker 0 and the other workers are
+/// parked helper threads of one process-wide pool, so a call costs a
+/// wake-up rather than a thread spawn. The pool runs one call at a time:
+/// concurrent callers queue, and a call made from inside an item runs
+/// inline on that item's thread with one worker. A panic in an item is
+/// re-raised in the caller, with its own payload, once every worker has
+/// stopped. Each worker owns a contiguous range of the items and pulls
 /// chunks from it through an atomic claim cursor; a worker that drains
 /// its range steals chunks from the other ranges, so uneven item costs
 /// balance automatically while the common case — every worker busy on
@@ -616,11 +632,15 @@ where
     par_map_run_indexed(items.len(), workers, None, |i| f(i, &items[i]))
 }
 
+/// One worker's output: its `(index, result)` pairs, items stolen, idle
+/// steal probes and wall time.
+type WorkerShare<R> = (Vec<(usize, R)>, usize, usize, Duration);
+
 /// The index-driven scheduling core: applies `f` to every index in
-/// `0..n` on a scoped worker pool and returns the results in index
-/// order. Fan-outs whose work items are pure index arithmetic (the
-/// `pdn × point` lattice of [`evaluate`]) drive this directly
-/// and never allocate a task list.
+/// `0..n` on the batch worker pool (see [`par_map`] for the pool's
+/// contract) and returns the results in index order. Fan-outs whose
+/// work items are pure index arithmetic (the `pdn × point` lattice of
+/// [`evaluate`]) drive this directly and never allocate a task list.
 ///
 /// Scheduling: the indices are split into one contiguous range per
 /// worker, each guarded by an atomic claim cursor. A worker claims
@@ -641,7 +661,9 @@ where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
-    let n_workers = workers.count(n);
+    // A fan-out nested inside a pool job runs inline: the pool runs one
+    // job at a time, and this thread is already part of it.
+    let n_workers = if pool::in_job() { 1 } else { workers.count(n) };
     if n_workers <= 1 {
         let start = Instant::now();
         let results = (0..n).map(&f).collect();
@@ -668,55 +690,60 @@ where
     // so an override is safe to expose as a tuning knob.
     let chunk = chunk_override.map_or_else(|| (base / 8).clamp(1, 16), |c| c.max(1));
 
-    let (mut pairs, worker_wall, worker_stolen, worker_idle_probes) = std::thread::scope(|scope| {
-        let ranges = &ranges;
-        let f = &f;
-        let handles: Vec<_> = (0..n_workers)
-            .map(|w| {
-                scope.spawn(move || {
-                    let start = Instant::now();
-                    let mut local = Vec::new();
-                    let mut stolen = 0usize;
-                    let mut idle_probes = 0usize;
-                    for probe in 0..n_workers {
-                        let victim = (w + probe) % n_workers;
-                        let (cursor, end) = &ranges[victim];
-                        let mut claimed_any = false;
-                        loop {
-                            let lo = cursor.fetch_add(chunk, Ordering::Relaxed);
-                            if lo >= *end {
-                                break;
-                            }
-                            let hi = (lo + chunk).min(*end);
-                            claimed_any = true;
-                            if probe > 0 {
-                                stolen += hi - lo;
-                            }
-                            for i in lo..hi {
-                                local.push((i, f(i)));
-                            }
-                        }
-                        if probe > 0 && !claimed_any {
-                            idle_probes += 1;
-                        }
-                    }
-                    (local, stolen, idle_probes, start.elapsed())
-                })
-            })
-            .collect();
-        let mut pairs = Vec::with_capacity(n);
-        let mut walls = Vec::with_capacity(n_workers);
-        let mut stolen = Vec::with_capacity(n_workers);
-        let mut idle = Vec::with_capacity(n_workers);
-        for handle in handles {
-            let (local, s, ip, wall) = handle.join().expect("batch worker panicked");
-            pairs.extend(local);
-            walls.push(wall);
-            stolen.push(s);
-            idle.push(ip);
+    // One slot per worker. A slot stays empty when its helper did not
+    // join before worker 0 drained every range.
+    let shares: Vec<Mutex<Option<WorkerShare<R>>>> =
+        (0..n_workers).map(|_| Mutex::new(None)).collect();
+    // Worker 0 runs on the calling thread, which wakes the helpers just
+    // before it starts its share; a helper that wakes first could
+    // otherwise steal the head of range 0. Claiming that chunk up front
+    // keeps every worker starting on its own range.
+    let head = ranges[0].0.fetch_add(chunk, Ordering::Relaxed);
+    pool::run(n_workers, &|w| {
+        let start = Instant::now();
+        let mut local = Vec::new();
+        let mut stolen = 0usize;
+        let mut idle_probes = 0usize;
+        let mut claimed_head = (w == 0).then_some(head);
+        for probe in 0..n_workers {
+            let victim = (w + probe) % n_workers;
+            let (cursor, end) = &ranges[victim];
+            let mut claimed_any = false;
+            loop {
+                let lo = claimed_head
+                    .take()
+                    .unwrap_or_else(|| cursor.fetch_add(chunk, Ordering::Relaxed));
+                if lo >= *end {
+                    break;
+                }
+                let hi = (lo + chunk).min(*end);
+                claimed_any = true;
+                if probe > 0 {
+                    stolen += hi - lo;
+                }
+                for i in lo..hi {
+                    local.push((i, f(i)));
+                }
+            }
+            if probe > 0 && !claimed_any {
+                idle_probes += 1;
+            }
         }
-        (pairs, walls, stolen, idle)
+        *shares[w].lock().expect("batch worker slot poisoned") =
+            Some((local, stolen, idle_probes, start.elapsed()));
     });
+    let mut pairs = Vec::with_capacity(n);
+    let mut worker_wall = Vec::with_capacity(n_workers);
+    let mut worker_stolen = Vec::with_capacity(n_workers);
+    let mut worker_idle_probes = Vec::with_capacity(n_workers);
+    for share in shares {
+        let (local, s, ip, wall) =
+            share.into_inner().expect("batch worker slot poisoned").unwrap_or_default();
+        pairs.extend(local);
+        worker_wall.push(wall);
+        worker_stolen.push(s);
+        worker_idle_probes.push(ip);
+    }
     pairs.sort_unstable_by_key(|&(i, _)| i);
     ParMapRun {
         results: pairs.into_iter().map(|(_, r)| r).collect(),
@@ -1387,6 +1414,7 @@ mod tests {
     use crate::params::ModelParams;
     use crate::topology::{IvrPdn, MbvrPdn, PdnKind};
     use pdn_proc::client_soc;
+    use std::panic::AssertUnwindSafe;
 
     fn small_grid() -> SweepGrid {
         SweepGrid::builder()
@@ -1818,6 +1846,91 @@ mod tests {
         assert_eq!(stats.worker_stolen, vec![0]);
         assert_eq!(stats.worker_idle_probes, vec![0]);
         assert!(!stats.to_string().contains("stolen"));
+    }
+
+    /// A float-heavy item whose bits would expose any reordering of the
+    /// per-item arithmetic.
+    fn mix(i: usize, x: &f64) -> f64 {
+        (0..50).fold(*x, |acc, k| (acc * 1.000_001 + (i * k) as f64).sqrt() + acc.sin())
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn concurrent_callers_share_the_pool_and_match_serial() {
+        let items: Vec<f64> = (0..257).map(|i| f64::from(i) * 0.37).collect();
+        let serial = bits(&par_map(&items, Workers::Serial, mix));
+        let choices = [Workers::Auto, Workers::Fixed(2), Workers::Fixed(3), Workers::Fixed(7)];
+        let start = std::sync::Barrier::new(choices.len());
+        std::thread::scope(|scope| {
+            for workers in choices {
+                let (items, start, serial) = (&items, &start, &serial);
+                scope.spawn(move || {
+                    start.wait();
+                    for _ in 0..20 {
+                        let (out, stats) = par_map_stats(items, workers, mix);
+                        assert_eq!(&bits(&out), serial, "{workers:?} diverged");
+                        assert_eq!(stats.workers, workers.count(items.len()));
+                    }
+                });
+            }
+        });
+    }
+
+    #[test]
+    fn nested_par_map_runs_inline_and_matches_serial() {
+        let outer: Vec<f64> = (0..12).map(f64::from).collect();
+        let inner: Vec<f64> = (0..40).map(|i| f64::from(i) * 0.5).collect();
+        let serial: Vec<f64> = outer
+            .iter()
+            .map(|x| par_map(&inner, Workers::Serial, |i, y| mix(i, &(x + y))).iter().sum())
+            .collect();
+        let parallel = par_map(&outer, Workers::Fixed(4), |_, x| {
+            let (out, stats) = par_map_stats(&inner, Workers::Fixed(3), |i, y| mix(i, &(x + y)));
+            assert_eq!(stats.workers, 1, "a fan-out inside a pool job runs inline");
+            out.iter().sum::<f64>()
+        });
+        assert_eq!(bits(&parallel), bits(&serial));
+    }
+
+    #[test]
+    fn a_panicking_item_re_raises_its_payload_and_the_pool_survives() {
+        #[derive(Debug, PartialEq)]
+        struct Boom(usize);
+        // Two workers, chunk 1: worker 0 (the caller) claims item 0 and
+        // worker 1 (a helper) claims item 2. The barrier holds item 0
+        // until item 2 has started, so `at` picks which side panics.
+        for at in [0, 2] {
+            let meet = std::sync::Barrier::new(2);
+            let items: Vec<usize> = (0..4).collect();
+            let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                par_map(&items, Workers::Fixed(2), |i, &x| {
+                    if i == 0 || i == 2 {
+                        meet.wait();
+                    }
+                    if i == at {
+                        std::panic::panic_any(Boom(at));
+                    }
+                    x
+                })
+            }));
+            let payload = caught.expect_err("the item's panic reaches the caller");
+            assert_eq!(payload.downcast_ref::<Boom>(), Some(&Boom(at)));
+            let again = par_map(&items, Workers::Fixed(2), |_, &x| x * 3);
+            assert_eq!(again, vec![0, 3, 6, 9], "the pool serves the next call");
+        }
+    }
+
+    #[test]
+    fn oversubscribed_fixed_workers_are_all_reported() {
+        let n = std::thread::available_parallelism().map_or(1, usize::from) + 3;
+        let items: Vec<usize> = (0..64).collect();
+        let (out, stats) = par_map_stats(&items, Workers::Fixed(n), |_, &x| x + 1);
+        assert_eq!(out, (1..=64).collect::<Vec<_>>());
+        assert_eq!(stats.workers, n);
+        assert_eq!(stats.worker_wall.len(), n);
     }
 
     #[test]

@@ -31,8 +31,8 @@
 //!    still want. Individually expired waiters get
 //!    `DeadlineExceeded` even when the value was computed.
 //! 5. **panic isolation** — every evaluation runs under
-//!    [`std::panic::catch_unwind`] *inside* the worker closure (a
-//!    worker panic would otherwise propagate at thread join), and a
+//!    [`std::panic::catch_unwind`] *inside* the worker closure (the
+//!    batch pool would otherwise re-raise it in the dispatcher), and a
 //!    caught panic is answered [`ErrorCode::Internal`] (retryable —
 //!    the quarantine bounds the retries).
 //!

@@ -16,6 +16,7 @@ use crate::engine::{ServeEngine, SERVE_ARS, SERVE_TDPS};
 use crate::protocol::{PdnId, PointSpec, Request, RequestBody, Response, ResponseBody};
 use crate::server::{self, Client};
 use crate::snapshot;
+use flexwatts::scratch::unique_scratch_dir;
 use pdn_workload::WorkloadType;
 use pdnspot::EngineConfig;
 use rand::rngs::StdRng;
@@ -294,11 +295,8 @@ fn percentile(sorted: &[u64], q: f64) -> u64 {
 /// Returns a rendered description of the first boot, transport, or
 /// snapshot failure.
 pub fn run(cfg: &BenchConfig) -> Result<BenchReport, String> {
-    let snapshot_path = std::env::temp_dir().join(format!(
-        "pdn-serve-bench-{}-{:x}.snapshot",
-        std::process::id(),
-        cfg.seed
-    ));
+    let scratch = unique_scratch_dir("pdn-serve-bench").map_err(|e| format!("scratch dir: {e}"))?;
+    let snapshot_path = scratch.join("bench.snapshot");
     let engine_config = EngineConfig::default();
     let engine = ServeEngine::new(engine_config.clone())
         .map_err(|e| format!("engine boot: {e}"))?
@@ -372,7 +370,6 @@ pub fn run(cfg: &BenchConfig) -> Result<BenchReport, String> {
         misses += stats.misses;
     }
     let hit_rate = if hits + misses == 0 { 0.0 } else { hits as f64 / (hits + misses) as f64 };
-    let _ = std::fs::remove_file(&snapshot_path);
 
     let report = BenchReport {
         config: cfg.clone(),

@@ -42,6 +42,7 @@ use crate::protocol::{
 use crate::server::{self, Client};
 use crate::snapshot;
 use crate::wire;
+use flexwatts::scratch::unique_scratch_dir;
 use pdn_workload::tracefile::{encode_trace, frame_spans, DefectKind, FrameKind};
 use pdn_workload::{zoo, WorkloadType};
 use pdnspot::{EngineConfig, ErrorCode};
@@ -936,9 +937,9 @@ impl Default for CampaignConfig {
 /// The snapshot-corruption leg: rotated generations must survive a
 /// corrupted head, and total corruption must cold-start (never panic,
 /// never propagate an error as fatal).
-fn snapshot_corruption_leg(seed: u64) -> Result<bool, String> {
-    let dir = std::env::temp_dir();
-    let path = dir.join(format!("pdn-serve-chaos-{}-{seed:x}.snapshot", std::process::id()));
+fn snapshot_corruption_leg() -> Result<bool, String> {
+    let dir = unique_scratch_dir("pdn-serve-chaos").map_err(|e| format!("scratch dir: {e}"))?;
+    let path = dir.join("chaos.snapshot");
     let engine = ServeEngine::new(EngineConfig::default()).map_err(|e| format!("boot: {e}"))?;
     // A couple of evaluations so the snapshot has memo entries.
     for rank in 0..4 {
@@ -973,18 +974,6 @@ fn snapshot_corruption_leg(seed: u64) -> Result<bool, String> {
     }
     let (cold, cold_defects) = snapshot::restore_latest(&path, keep);
     let cold_start = cold.is_none() && !cold_defects.is_empty();
-
-    // Clean up all generations.
-    for generation in 0..keep {
-        let gen_path = if generation == 0 {
-            path.clone()
-        } else {
-            let mut name = path.file_name().map(|n| n.to_os_string()).unwrap_or_default();
-            name.push(format!(".{generation}"));
-            path.with_file_name(name)
-        };
-        let _ = std::fs::remove_file(gen_path);
-    }
     Ok(fell_back && cold_start)
 }
 
@@ -1024,8 +1013,8 @@ fn trace_corruption_leg(seed: u64) -> Result<TraceCorruptionOutcome, String> {
         bytes[span.offset + span.len / 2] ^= 0xFF;
         poisoned_count += 1;
     }
-    let path =
-        std::env::temp_dir().join(format!("pdn-serve-chaos-{}-{seed:x}.pdnt", std::process::id()));
+    let dir = unique_scratch_dir("pdn-serve-chaos").map_err(|e| format!("scratch dir: {e}"))?;
+    let path = dir.join("chaos.pdnt");
     std::fs::write(&path, &bytes).map_err(|e| format!("write trace: {e}"))?;
 
     // Boot a daemon, then replay the poisoned file on a background
@@ -1085,7 +1074,6 @@ fn trace_corruption_leg(seed: u64) -> Result<TraceCorruptionOutcome, String> {
     let report = replay.join().map_err(|_| "replay thread panicked".to_string())??;
     handle.shutdown();
     handle.join();
-    let _ = std::fs::remove_file(&path);
 
     let exact = report.chunks_quarantined == poisoned_count
         && report.defects.count(DefectKind::ChecksumMismatch) == poisoned_count
@@ -1141,8 +1129,7 @@ pub fn campaign(cfg: &CampaignConfig) -> Result<ChaosCampaignReport, String> {
             runs.push(report);
         }
     }
-    let snapshot_corruption_cold_start =
-        snapshot_corruption_leg(cfg.seeds.first().copied().unwrap_or(1))?;
+    let snapshot_corruption_cold_start = snapshot_corruption_leg()?;
     let trace_corruption = trace_corruption_leg(cfg.seeds.first().copied().unwrap_or(1))?;
 
     let survived = runs.iter().filter(|r| r.survived).count();

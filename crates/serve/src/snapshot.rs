@@ -302,6 +302,7 @@ pub fn restore_latest(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flexwatts::scratch::{unique_scratch_dir, ScratchDir};
 
     fn sample_snapshot() -> Snapshot {
         Snapshot {
@@ -318,12 +319,8 @@ mod tests {
         assert_eq!(decode(&bytes).expect("decodes"), snap);
     }
 
-    fn temp_dir(tag: &str) -> PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("pdn-serve-snapshot-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        dir
+    fn temp_dir(tag: &str) -> ScratchDir {
+        unique_scratch_dir(&format!("pdn-serve-snapshot-{tag}")).expect("scratch dir")
     }
 
     #[test]
@@ -353,7 +350,6 @@ mod tests {
         let (restored, defects) = restore_latest(&path, 3);
         assert!(restored.is_none(), "all generations corrupt → cold start");
         assert_eq!(defects.len(), 3);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -362,7 +358,6 @@ mod tests {
         let (restored, defects) = restore_latest(&dir.join("nothing.pdnw"), 3);
         assert!(restored.is_none());
         assert!(defects.is_empty(), "absent files are not defects");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -13,13 +13,13 @@
 //!   either queued (drained exactly once) or rejected with a
 //!   classified [`Rejection`].
 
+use flexwatts::scratch::unique_scratch_dir;
 use pdn_serve::admission::{AdmissionQueue, Job, Rejection, ReplyHandle};
 use pdn_serve::protocol::{Request, RequestBody};
 use pdn_serve::snapshot::{self, Snapshot};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use std::collections::HashMap;
-use std::path::PathBuf;
 use std::sync::atomic::AtomicBool;
 use std::sync::mpsc::sync_channel;
 use std::sync::Arc;
@@ -34,17 +34,6 @@ fn snapshot() -> impl Strategy<Value = Snapshot> {
         ldo_firmware: ldo,
         tenants: Vec::new(),
     })
-}
-
-fn temp_path(tag: &str, salt: u64) -> PathBuf {
-    std::env::temp_dir()
-        .join(format!("pdn-serve-proptest-{tag}-{}-{salt:x}.snapshot", std::process::id()))
-}
-
-fn cleanup(path: &std::path::Path, keep: usize) {
-    for generation in 0..keep {
-        let _ = std::fs::remove_file(snapshot::generation_path(path, generation));
-    }
 }
 
 proptest! {
@@ -81,11 +70,11 @@ proptest! {
     fn restore_walks_generations_and_cold_starts(
         snap in snapshot(),
         intact in 0u64..3,
-        seed in any::<u64>(),
     ) {
         let keep = 3;
         let intact = intact as usize;
-        let path = temp_path("walk", seed);
+        let dir = unique_scratch_dir("pdn-serve-proptest-walk").expect("scratch dir");
+        let path = dir.join("state.snapshot");
         // Write three generations (oldest first semantics come from
         // rotation: after three writes, gen 0 is the newest).
         for _ in 0..keep {
@@ -115,7 +104,6 @@ proptest! {
         let (cold, cold_defects) = snapshot::restore_latest(&path, keep);
         prop_assert!(cold.is_none(), "total corruption must cold start");
         prop_assert_eq!(cold_defects.len(), keep, "every generation reported defective");
-        cleanup(&path, keep);
     }
 }
 

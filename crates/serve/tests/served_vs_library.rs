@@ -4,6 +4,7 @@
 //! the handler, the admission/coalescing path, the wire codec, and a
 //! snapshot/restore cycle.
 
+use flexwatts::scratch::unique_scratch_dir;
 use flexwatts::FlexWattsAuto;
 use pdn_serve::engine::{ServeEngine, SERVE_ARS, SERVE_TDPS};
 use pdn_serve::protocol::{PdnId, PointSpec, Request, RequestBody, Response, ResponseBody};
@@ -19,7 +20,6 @@ use pdnspot::{
 use std::collections::HashMap;
 use std::io::Write;
 use std::net::TcpStream;
-use std::path::PathBuf;
 use std::sync::Arc;
 
 fn config() -> EngineConfig {
@@ -240,9 +240,8 @@ fn served_crossover_is_bit_identical_to_library_crossover() {
 /// snapshot file serves replayed points from cache (hit rate > 0).
 #[test]
 fn tcp_loopback_round_trip_snapshot_and_warm_restart() {
-    let snap_path: PathBuf =
-        std::env::temp_dir().join(format!("pdn-serve-test-{}.snapshot", std::process::id()));
-    let _ = std::fs::remove_file(&snap_path);
+    let scratch = unique_scratch_dir("pdn-serve-test").expect("scratch dir");
+    let snap_path = scratch.join("warm.snapshot");
 
     let engine =
         Arc::new(ServeEngine::new(config()).expect("engine boots").with_snapshot_path(&snap_path));
@@ -350,5 +349,4 @@ fn tcp_loopback_round_trip_snapshot_and_warm_restart() {
     let stats = warm.tenant(0).cache.stats();
     assert!(stats.hits > 0, "warm restart answers from the restored cache");
     assert_eq!(stats.misses, 0, "every replayed point was captured by the snapshot");
-    let _ = std::fs::remove_file(&snap_path);
 }
