@@ -2,7 +2,7 @@
 //! fan-out.
 //!
 //! Spawning and joining scoped threads for each [`super::par_map`] call
-//! cost ~90–150 µs per call, about half of a small served batch. The
+//! cost ~50–150 µs per call, about half of a small served batch. The
 //! pool pays that once: helpers are spawned on first demand, park on a
 //! condition variable between jobs, and never exit.
 //!
