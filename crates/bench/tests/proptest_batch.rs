@@ -2,6 +2,7 @@
 //! work-stealing scheduler must produce bit-identical results for every
 //! worker count, on the grids the figure binaries actually sweep.
 
+use flexwatts::{FlexWattsPdn, PdnMode};
 use pdn_bench::fig4::PANEL_TDPS;
 use pdn_bench::suite::{five_pdns, ARS, TDPS};
 use pdn_proc::PackageCState;
@@ -112,18 +113,21 @@ proptest! {
 
     /// The row-kernel batch path equals the scalar per-point path bit for
     /// bit on any grid shape (random row lengths along both the AR and
-    /// idle-state axes) and any worker count: every evaluation matches
-    /// `Pdn::evaluate` on a scenario built by the unstaged per-point
-    /// constructor.
+    /// idle-state axes) and any worker count, for every topology — the
+    /// five of the suite plus FlexWatts in each fixed mode: every
+    /// evaluation matches `Pdn::evaluate` on a scenario built by the
+    /// unstaged per-point constructor.
     #[test]
     fn row_kernels_match_scalar_per_point_on_random_grids(
         grid in grid_strategy(),
         w in 1usize..9,
     ) {
         let params = ModelParams::paper_defaults();
-        let ivr = pdnspot::IvrPdn::new(params.clone());
-        let ldo = pdnspot::LdoPdn::new(params);
-        let pdns: [&dyn Pdn; 2] = [&ivr, &ldo];
+        let mut owned = five_pdns(&params);
+        for mode in PdnMode::ALL {
+            owned.push(Box::new(FlexWattsPdn::new(params.clone(), mode)));
+        }
+        let pdns: Vec<&dyn Pdn> = owned.iter().map(|p| p.as_ref()).collect();
         let run = evaluate(&pdns, &grid, &ClientSoc, &cfg(Workers::Fixed(w)), None);
         prop_assert_eq!(run.stats.failed, 0);
         for eval in &run.evaluations {
@@ -157,6 +161,7 @@ proptest! {
                 "input power bits at {:?}",
                 eval.point
             );
+            prop_assert_eq!(row, &scalar, "evaluation at {:?}", eval.point);
         }
     }
 

@@ -25,14 +25,14 @@ use crate::topology::PdnMode;
 use pdn_pmu::{ActivitySensorBank, CStateDriver};
 use pdn_units::Seconds;
 use pdn_workload::tracefile::{
-    crc32, fnv1a64, DefectCounts, DefectPolicy, TraceFileError, TraceReader,
+    crc32, DefectCounts, DefectPolicy, Fnv1a, TraceFileError, TraceReader,
 };
 use pdn_workload::TraceInterval;
 use pdnspot::batch::{par_map, Workers};
 use pdnspot::PdnError;
 use std::fmt;
-use std::fs::{self, File};
-use std::io::{self, Read, Write};
+use std::fs::File;
+use std::io::{self, Read};
 use std::path::{Path, PathBuf};
 
 /// Checkpoint file magic: `"PDNC"`.
@@ -301,33 +301,16 @@ impl ReplayCheckpoint {
         })
     }
 
-    /// Persists the checkpoint crash-safely: unique tmp file, full
-    /// write, `fsync`, atomic rename over the destination, best-effort
-    /// parent-directory `fsync` — a crash mid-save leaves either the
-    /// old checkpoint or the new one, never a torn file.
+    /// Persists the checkpoint crash-safely
+    /// ([`pdn_workload::durable::write_file`]) — a crash mid-save leaves
+    /// either the old checkpoint or the new one, never a torn file, and
+    /// a failed save leaves no temporary file behind.
     ///
     /// # Errors
     ///
-    /// Any I/O failure along that sequence.
+    /// Any I/O failure along the write → fsync → rename sequence.
     pub fn save(&self, path: impl AsRef<Path>) -> io::Result<()> {
-        let path = path.as_ref();
-        let bytes = self.encode();
-        let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-        {
-            let mut file = File::create(&tmp)?;
-            file.write_all(&bytes)?;
-            file.sync_all()?;
-        }
-        if let Err(e) = fs::rename(&tmp, path) {
-            let _ = fs::remove_file(&tmp);
-            return Err(e);
-        }
-        if let Some(parent) = path.parent() {
-            if let Ok(dir) = File::open(parent) {
-                let _ = dir.sync_all();
-            }
-        }
-        Ok(())
+        pdn_workload::durable::write_file(path.as_ref(), &self.encode())
     }
 
     /// Loads and decodes a checkpoint file.
@@ -356,7 +339,7 @@ pub fn runtime_fingerprint(rt: &FlexWattsRuntime) -> u64 {
     bytes.push(u8::from(rt.config.max_current_protection));
     bytes.extend_from_slice(&rt.predictor.evaluation_interval().get().to_bits().to_le_bytes());
     bytes.extend_from_slice(&rt.soc.tdp.get().to_bits().to_le_bytes());
-    fnv1a64(&bytes)
+    Fnv1a::hash(&bytes)
 }
 
 // ---------------------------------------------------------------------------
@@ -796,6 +779,24 @@ mod tests {
         let cp_path = dir.join("replay.pdnc");
         cp.save(&cp_path).unwrap();
         assert_eq!(ReplayCheckpoint::load(&cp_path).unwrap(), cp);
+    }
+
+    #[test]
+    fn failed_save_returns_the_error_and_leaves_no_tmp_file() {
+        let dir = temp_dir("failed-save");
+        let rt = runtime(18.0);
+        let cp = TraceReplayer::new(&rt, Workers::Serial).checkpoint(7);
+        // A non-empty directory in the way makes the final rename fail.
+        let cp_path = dir.join("replay.pdnc");
+        std::fs::create_dir(&cp_path).unwrap();
+        std::fs::write(cp_path.join("occupant"), b"x").unwrap();
+        assert!(cp.save(&cp_path).is_err());
+        let mut left: Vec<_> = std::fs::read_dir(dir.path())
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        left.sort();
+        assert_eq!(left, ["replay.pdnc"], "only the blocking directory may remain");
     }
 
     #[test]

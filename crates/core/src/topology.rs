@@ -15,11 +15,10 @@ use pdn_proc::{DomainKind, DomainTable};
 use pdn_units::{Amps, Volts, Watts};
 use pdn_vr::{presets, BuckConverter, OperatingPoint, VoltageRegulator};
 use pdnspot::etee::{
-    board_vr_stage, load_line_domain_stage, load_line_stage, LossBreakdown, RowStage, StagedPoint,
-    Stager,
+    board_vr_stage, load_line_domain_stage, load_line_stage, LossBreakdown, RowStage, Stager,
 };
 use pdnspot::topology::{
-    dedicated_rail_flow_with, pdn_memo_token, power_gate_impedance, OffchipRail,
+    dedicated_rail_flow, pdn_memo_token, power_gate_impedance, size_offchip_rails, OffchipRail,
 };
 use pdnspot::{DirectStager, ModelParams, Pdn, PdnError, PdnEvaluation, PdnKind, Scenario};
 use serde::{Deserialize, Serialize};
@@ -112,7 +111,7 @@ impl FlexWattsPdn {
 
     /// [`Pdn::evaluate`] with the PDN-independent stages (guardband, gate,
     /// virus headroom) routed through a [`Stager`], so batch sweeps share
-    /// them with every other PDN evaluated at the same lattice point.
+    /// them with every other PDN evaluated along the same lattice row.
     ///
     /// # Errors
     ///
@@ -147,7 +146,7 @@ impl FlexWattsPdn {
             if !load.powered || load.nominal_power.get() <= 0.0 {
                 continue;
             }
-            let gb = stager.guardband(kind, load, tob, p.leakage_exponent);
+            let gb = stager.guardband(load, tob, p.leakage_exponent);
             breakdown.other += gb.power - load.nominal_power;
             let iout = gb.power / gb.voltage;
             let op = OperatingPoint::new(p.vin_level, gb.voltage, iout);
@@ -212,7 +211,7 @@ impl FlexWattsPdn {
                 if !load.powered || load.nominal_power.get() <= 0.0 {
                     continue;
                 }
-                let gb = stager.guardband(kind, load, tob, p.leakage_exponent);
+                let gb = stager.guardband(load, tob, p.leakage_exponent);
                 breakdown.other += gb.power - load.nominal_power;
                 let iout = gb.power / gb.voltage;
                 let op = OperatingPoint::new(vin_rail, gb.voltage, iout);
@@ -281,7 +280,7 @@ impl FlexWattsPdn {
             (DomainKind::Sa, p.flexwatts_loadlines.sa, &self.sa_vr),
             (DomainKind::Io, p.flexwatts_loadlines.io, &self.io_vr),
         ] {
-            let (pin, overhead, conduction, vr_loss, rail) = dedicated_rail_flow_with(
+            let (pin, overhead, conduction, vr_loss, rail) = dedicated_rail_flow(
                 scenario,
                 kind,
                 self.tob(),
@@ -317,14 +316,6 @@ impl Pdn for FlexWattsPdn {
         self.evaluate_with(scenario, &DirectStager)
     }
 
-    fn evaluate_staged(
-        &self,
-        scenario: &Scenario,
-        staged: &StagedPoint,
-    ) -> Result<PdnEvaluation, PdnError> {
-        self.evaluate_with(scenario, staged)
-    }
-
     fn evaluate_row(
         &self,
         scenarios: &[Scenario],
@@ -350,32 +341,7 @@ impl Pdn for FlexWattsPdn {
     /// [`FlexWattsPdn::vin_protection_limit`], beyond which the PMU's
     /// maximum-current protection forces IVR-Mode.
     fn offchip_rails(&self, soc: &pdn_proc::SocSpec) -> Result<Vec<OffchipRail>, PdnError> {
-        let mut merged: std::collections::BTreeMap<String, OffchipRail> =
-            std::collections::BTreeMap::new();
-        let pdn = FlexWattsPdn::new(self.params.clone(), PdnMode::IvrMode);
-        for wl in [pdn_workload::WorkloadType::MultiThread, pdn_workload::WorkloadType::Graphics] {
-            let virus = Scenario::power_virus_at_tdp(soc, wl)?;
-            let eval = pdn.evaluate(&virus)?;
-            for rail in eval.rails {
-                let entry = merged.entry(rail.name.clone()).or_insert_with(|| OffchipRail {
-                    name: rail.name.clone(),
-                    iccmax: Amps::ZERO,
-                    voltage: rail.voltage,
-                });
-                if rail.current > entry.iccmax {
-                    entry.iccmax = rail.current;
-                    entry.voltage = rail.voltage;
-                }
-            }
-        }
-        const DESIGN_MARGIN: f64 = 1.1;
-        Ok(merged
-            .into_values()
-            .map(|mut r| {
-                r.iccmax = r.iccmax * DESIGN_MARGIN;
-                r
-            })
-            .collect())
+        size_offchip_rails(&FlexWattsPdn::new(self.params.clone(), PdnMode::IvrMode), soc)
     }
 }
 
@@ -463,16 +429,6 @@ impl Pdn for FlexWattsAuto {
         Ok(if ivr.etee >= ldo.etee { ivr } else { ldo })
     }
 
-    fn evaluate_staged(
-        &self,
-        scenario: &Scenario,
-        staged: &StagedPoint,
-    ) -> Result<PdnEvaluation, PdnError> {
-        let ivr = self.ivr.evaluate_with(scenario, staged)?;
-        let ldo = self.ldo.evaluate_with(scenario, staged)?;
-        Ok(if ivr.etee >= ldo.etee { ivr } else { ldo })
-    }
-
     fn memo_token(&self) -> Option<u64> {
         // Flavor 255 keeps the better-of-both-modes result distinct from
         // either fixed mode's cache entries.
@@ -480,7 +436,7 @@ impl Pdn for FlexWattsAuto {
     }
 
     fn offchip_rails(&self, soc: &pdn_proc::SocSpec) -> Result<Vec<OffchipRail>, PdnError> {
-        // The fixed-mode implementation already merges both modes.
+        // Both fixed modes size their rails at the IVR-Mode rating.
         self.ivr.offchip_rails(soc)
     }
 }
@@ -620,38 +576,6 @@ mod tests {
         other.leakage_exponent += 0.25;
         let perturbed = FlexWattsPdn::new(other, PdnMode::IvrMode);
         assert_ne!(perturbed.memo_token(), ivr.memo_token(), "params are part of the identity");
-    }
-
-    #[test]
-    fn staged_evaluation_is_bit_identical_to_direct() {
-        let params = ModelParams::paper_defaults();
-        let pdns: [&dyn Pdn; 3] = [
-            &FlexWattsPdn::new(params.clone(), PdnMode::IvrMode),
-            &FlexWattsPdn::new(params.clone(), PdnMode::LdoMode),
-            &FlexWattsAuto::new(params),
-        ];
-        let soc = client_soc(Watts::new(18.0));
-        let scenarios = [
-            scenario(4.0, WorkloadType::SingleThread, 0.6),
-            scenario(18.0, WorkloadType::MultiThread, 0.8),
-            scenario(50.0, WorkloadType::Graphics, 0.4),
-            Scenario::idle(&soc, PackageCState::C2),
-        ];
-        for s in &scenarios {
-            // One shared staging cache per "lattice point", as the batch
-            // engine uses it: every PDN reuses the same partial stages.
-            let staged = StagedPoint::new();
-            for pdn in pdns {
-                let direct = pdn.evaluate(s).unwrap();
-                let shared = pdn.evaluate_staged(s, &staged).unwrap();
-                assert_eq!(
-                    direct.etee.get().to_bits(),
-                    shared.etee.get().to_bits(),
-                    "staging must not change a single bit"
-                );
-                assert_eq!(direct.input_power.get().to_bits(), shared.input_power.get().to_bits());
-            }
-        }
     }
 
     #[test]

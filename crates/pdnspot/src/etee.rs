@@ -23,7 +23,6 @@ use pdn_units::{Amps, ApplicationRatio, Efficiency, Ohms, Volts, Watts};
 use pdn_vr::{BuckConverter, OperatingPoint, VoltageRegulator, VrPowerState};
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
-use std::sync::Mutex;
 
 /// A load after a voltage-raising stage: new power demand and rail voltage.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -264,17 +263,17 @@ pub fn board_vr_stage(
 /// The guardband, power-gate, and virus-headroom stages depend only on the
 /// scenario and a handful of electrical parameters — not on which topology
 /// is asking. Topologies route those stages through a `Stager` so a batch
-/// sweep can hand every PDN at a lattice point the same [`StagedPoint`]
-/// and compute each partial once instead of once per PDN.
+/// sweep can hand every PDN of a lattice row the same [`RowStage`] and
+/// compute each partial once per row instead of once per PDN and point.
 ///
 /// Every method's default computes directly via the pure stage functions,
-/// so [`DirectStager`] is a zero-cost pass-through and any caching
+/// so [`DirectStager`] is a zero-cost pass-through — the plain reference
+/// that [`crate::topology::Pdn::evaluate`] runs — and any caching
 /// implementation returning the same bits is observationally identical.
 ///
-/// The trait is deliberately **not** `Sync`: sharing a stager across
-/// threads is the caller's choice ([`StagedPoint`] locks internally and is
-/// shared), while the per-row stager of the batch kernel ([`RowStage`]) is
-/// owned by the single worker that claimed the row and stays lock-free.
+/// The trait does not require `Sync`: a [`RowStage`] is owned by the
+/// single worker that claimed its row, so it caches through a `RefCell`
+/// and stays lock-free.
 pub trait Stager {
     /// The power-independent Eq. 2 multiplier for one domain's load
     /// ([`pdn_proc::guardband_factor`]).
@@ -283,8 +282,7 @@ pub trait Stager {
     /// `powf` of the stage — depends on everything *except* the nominal
     /// power, so a row-scoped stager can reuse it across the points of a
     /// lattice row while the power varies underneath.
-    fn guardband_factor(&self, kind: DomainKind, load: &DomainLoad, tob: Volts, delta: f64) -> f64 {
-        let _ = kind;
+    fn guardband_factor(&self, load: &DomainLoad, tob: Volts, delta: f64) -> f64 {
         pdn_proc::guardband_factor(load.leakage_fraction, load.voltage, tob, delta)
     }
 
@@ -294,24 +292,17 @@ pub trait Stager {
     /// does (`guardband_power(P, …) == P · guardband_factor(…)`, same ops,
     /// same order), so routing the factor through the stager preserves the
     /// bits while letting implementations cache the factor alone.
-    fn guardband(&self, kind: DomainKind, load: &DomainLoad, tob: Volts, delta: f64) -> StagedLoad {
+    fn guardband(&self, load: &DomainLoad, tob: Volts, delta: f64) -> StagedLoad {
         StagedLoad {
-            power: load.nominal_power * self.guardband_factor(kind, load, tob, delta),
+            power: load.nominal_power * self.guardband_factor(load, tob, delta),
             voltage: load.voltage + tob,
         }
     }
 
     /// [`guardband_stage`] followed by [`power_gate_stage`] for one
     /// domain's load (the MBVR-style gated flow).
-    fn gated(
-        &self,
-        kind: DomainKind,
-        load: &DomainLoad,
-        tob: Volts,
-        r_pg: Ohms,
-        delta: f64,
-    ) -> StagedLoad {
-        power_gate_stage(self.guardband(kind, load, tob, delta), load, r_pg, delta)
+    fn gated(&self, load: &DomainLoad, tob: Volts, r_pg: Ohms, delta: f64) -> StagedLoad {
+        power_gate_stage(self.guardband(load, tob, delta), load, r_pg, delta)
     }
 
     /// The load-independent virus headroom of a rail serving `domains`
@@ -346,82 +337,6 @@ fn domain_seq_key(domains: &[DomainKind]) -> u64 {
     domains.iter().fold(0u64, |key, &k| (key << 4) | (k as u64 + 1))
 }
 
-/// Memoized PDN-independent stage results for **one** lattice point.
-///
-/// Caches are keyed by the exact `f64` bit patterns of the stage inputs
-/// (tolerance band, gate impedance, leakage exponent) plus the domain, so
-/// a hit returns precisely the bits a fresh computation would produce —
-/// PDNs that share a parameter value (e.g. the MBVR and LDO 18 mV TOB, or
-/// the universal 0.5 mΩ power gate) share the work, PDNs that differ miss
-/// and compute their own entry.
-///
-/// The caller must create one `StagedPoint` per scenario and never reuse
-/// it across scenarios: the scenario itself is deliberately *not* part of
-/// the cache keys (the batch engine owns one `StagedPoint` per lattice
-/// point, pinned to that point's scenario).
-#[derive(Debug, Default)]
-pub struct StagedPoint {
-    guardbands: StageCache<(u8, u64, u64)>,
-    gated: StageCache<(u8, u64, u64, u64)>,
-    headrooms: Mutex<Vec<(u64, Watts)>>,
-}
-
-/// A tiny linear-scan cache from an exact-bits key to a staged load.
-type StageCache<K> = Mutex<Vec<(K, StagedLoad)>>;
-
-impl StagedPoint {
-    /// An empty staging cache for one lattice point.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl Stager for StagedPoint {
-    fn guardband(&self, kind: DomainKind, load: &DomainLoad, tob: Volts, delta: f64) -> StagedLoad {
-        let key = (kind as u8, tob.get().to_bits(), delta.to_bits());
-        let mut cache = self.guardbands.lock().expect("staging cache poisoned");
-        if let Some((_, hit)) = cache.iter().find(|(k, _)| *k == key) {
-            return *hit;
-        }
-        let value = guardband_stage(load, tob, delta);
-        cache.push((key, value));
-        value
-    }
-
-    fn gated(
-        &self,
-        kind: DomainKind,
-        load: &DomainLoad,
-        tob: Volts,
-        r_pg: Ohms,
-        delta: f64,
-    ) -> StagedLoad {
-        let key = (kind as u8, tob.get().to_bits(), r_pg.get().to_bits(), delta.to_bits());
-        if let Some((_, hit)) =
-            self.gated.lock().expect("staging cache poisoned").iter().find(|(k, _)| *k == key)
-        {
-            return *hit;
-        }
-        // Not held across the guardband call: both caches lock briefly and
-        // independently. A racing duplicate insert is benign (same bits;
-        // linear scan returns the first).
-        let value = power_gate_stage(self.guardband(kind, load, tob, delta), load, r_pg, delta);
-        self.gated.lock().expect("staging cache poisoned").push((key, value));
-        value
-    }
-
-    fn virus_headroom(&self, scenario: &Scenario, domains: &[DomainKind]) -> Watts {
-        let key = domain_seq_key(domains);
-        let mut cache = self.headrooms.lock().expect("staging cache poisoned");
-        if let Some((_, hit)) = cache.iter().find(|(k, _)| *k == key) {
-            return *hit;
-        }
-        let value = scenario.rail_virus_headroom(domains);
-        cache.push((key, value));
-        value
-    }
-}
-
 /// Packs the powered flags of a scenario's six domains into a bitmask, in
 /// canonical domain order. The only load field [`Scenario::rail_virus_headroom`]
 /// reads is `powered`, so the mask (plus the domain sequence) keys a
@@ -434,10 +349,9 @@ fn powered_mask(scenario: &Scenario) -> u64 {
 /// of scenarios that share every sweep coordinate except one (application
 /// ratio along an active row, package C-state along an idle row).
 ///
-/// Unlike [`StagedPoint`], which pins a single scenario and keys only on
-/// stage parameters, a row stager is shared across the scenarios of its
-/// row, so each cache keys on the exact bit patterns of *every* input the
-/// staged computation reads:
+/// A row stager is shared across the scenarios of its row, so each cache
+/// keys on the exact bit patterns of *every* input the staged computation
+/// reads:
 ///
 /// - guardband factors key on `(V_NOM, FL, TOB, δ)` — along a row the
 ///   voltages and leakage fractions are sweep-invariant, so the whole row
@@ -470,8 +384,7 @@ impl RowStage {
 }
 
 impl Stager for RowStage {
-    fn guardband_factor(&self, kind: DomainKind, load: &DomainLoad, tob: Volts, delta: f64) -> f64 {
-        let _ = kind;
+    fn guardband_factor(&self, load: &DomainLoad, tob: Volts, delta: f64) -> f64 {
         let key = (
             load.voltage.get().to_bits(),
             load.leakage_fraction.get().to_bits(),
@@ -726,66 +639,6 @@ mod tests {
     }
 
     #[test]
-    fn staged_point_matches_direct_stager_bit_for_bit() {
-        let soc = pdn_proc::client_soc(Watts::new(18.0));
-        let s = Scenario::active_fixed_tdp_frequency(
-            &soc,
-            pdn_workload::WorkloadType::MultiThread,
-            ApplicationRatio::new(0.6).unwrap(),
-        )
-        .unwrap();
-        let staged = StagedPoint::new();
-        let direct = DirectStager;
-        let tob = Volts::from_millivolts(18.0);
-        let r_pg = Ohms::from_milliohms(0.5);
-        for _ in 0..2 {
-            // Second iteration exercises the hit path of every cache.
-            for kind in DomainKind::ALL {
-                let l = s.load(kind);
-                let a = staged.guardband(kind, l, tob, 2.8);
-                let b = direct.guardband(kind, l, tob, 2.8);
-                assert_eq!(a.power.get().to_bits(), b.power.get().to_bits());
-                assert_eq!(a.voltage.get().to_bits(), b.voltage.get().to_bits());
-                let ga = staged.gated(kind, l, tob, r_pg, 2.8);
-                let gb = direct.gated(kind, l, tob, r_pg, 2.8);
-                assert_eq!(ga.power.get().to_bits(), gb.power.get().to_bits());
-            }
-            for domains in
-                [&[DomainKind::Core0, DomainKind::Core1, DomainKind::Llc][..], &[DomainKind::Sa]]
-            {
-                let a = staged.rail_virus_power(&s, domains, Watts::new(1.0));
-                let b = direct.rail_virus_power(&s, domains, Watts::new(1.0));
-                assert_eq!(a.get().to_bits(), b.get().to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn staged_point_distinguishes_stage_parameters() {
-        let soc = pdn_proc::client_soc(Watts::new(18.0));
-        let s = Scenario::active_fixed_tdp_frequency(
-            &soc,
-            pdn_workload::WorkloadType::MultiThread,
-            ApplicationRatio::new(0.6).unwrap(),
-        )
-        .unwrap();
-        let staged = StagedPoint::new();
-        let l = s.load(DomainKind::Core0);
-        let at_18 = staged.guardband(DomainKind::Core0, l, Volts::from_millivolts(18.0), 2.8);
-        let at_20 = staged.guardband(DomainKind::Core0, l, Volts::from_millivolts(20.0), 2.8);
-        assert_ne!(at_18.power, at_20.power, "different TOBs must not share a cache entry");
-        // Ordered sequence keys: distinct rails never collide.
-        assert_ne!(
-            super::domain_seq_key(&[DomainKind::Sa]),
-            super::domain_seq_key(&[DomainKind::Io])
-        );
-        assert_ne!(
-            super::domain_seq_key(&[DomainKind::Core0, DomainKind::Core1]),
-            super::domain_seq_key(&[DomainKind::Core1, DomainKind::Core0])
-        );
-    }
-
-    #[test]
     fn row_stage_matches_direct_stager_across_a_row() {
         // A RowStage shared across the scenarios of one row (and several
         // stage-parameter sets, standing in for several PDNs) must return
@@ -809,15 +662,15 @@ mod tests {
             for tob in [Volts::from_millivolts(18.0), Volts::from_millivolts(25.0)] {
                 for kind in DomainKind::ALL {
                     let l = s.load(kind);
-                    let fa = row.guardband_factor(kind, l, tob, 2.8);
-                    let fb = direct.guardband_factor(kind, l, tob, 2.8);
+                    let fa = row.guardband_factor(l, tob, 2.8);
+                    let fb = direct.guardband_factor(l, tob, 2.8);
                     assert_eq!(fa.to_bits(), fb.to_bits());
-                    let a = row.guardband(kind, l, tob, 2.8);
-                    let b = direct.guardband(kind, l, tob, 2.8);
+                    let a = row.guardband(l, tob, 2.8);
+                    let b = direct.guardband(l, tob, 2.8);
                     assert_eq!(a.power.get().to_bits(), b.power.get().to_bits());
                     assert_eq!(a.voltage.get().to_bits(), b.voltage.get().to_bits());
-                    let ga = row.gated(kind, l, tob, r_pg, 2.8);
-                    let gb = direct.gated(kind, l, tob, r_pg, 2.8);
+                    let ga = row.gated(l, tob, r_pg, 2.8);
+                    let gb = direct.gated(l, tob, r_pg, 2.8);
                     assert_eq!(ga.power.get().to_bits(), gb.power.get().to_bits());
                 }
             }
@@ -845,7 +698,7 @@ mod tests {
         let row = RowStage::new();
         for kind in DomainKind::ALL {
             let l = s.load(kind);
-            let a = row.guardband(kind, l, Volts::from_millivolts(18.0), 2.8);
+            let a = row.guardband(l, Volts::from_millivolts(18.0), 2.8);
             let b = guardband_stage(l, Volts::from_millivolts(18.0), 2.8);
             assert_eq!(a.power.get().to_bits(), b.power.get().to_bits());
             assert_eq!(a.voltage.get().to_bits(), b.voltage.get().to_bits());
@@ -855,8 +708,9 @@ mod tests {
     #[test]
     fn row_stage_distinguishes_points_with_different_inputs() {
         // Across the points of an *idle* row the powered flags change, so
-        // headrooms must not collide; and factor entries must key on the
-        // load voltage so distinct domains never share by accident.
+        // headrooms must not collide; factor entries must key on the load
+        // voltage and the TOB so distinct domains and PDNs never share by
+        // accident; and headroom keys must keep the domain order.
         let soc = pdn_proc::client_soc(Watts::new(18.0));
         let row = RowStage::new();
         let active = Scenario::active_fixed_tdp_frequency(
@@ -868,9 +722,18 @@ mod tests {
         let core = active.load(DomainKind::Core0);
         let sa = active.load(DomainKind::Sa);
         assert_ne!(core.voltage, sa.voltage, "test premise: distinct rail voltages");
-        let fc = row.guardband_factor(DomainKind::Core0, core, Volts::from_millivolts(18.0), 2.8);
-        let fs = row.guardband_factor(DomainKind::Sa, sa, Volts::from_millivolts(18.0), 2.8);
+        let fc = row.guardband_factor(core, Volts::from_millivolts(18.0), 2.8);
+        let fs = row.guardband_factor(sa, Volts::from_millivolts(18.0), 2.8);
         assert_ne!(fc.to_bits(), fs.to_bits(), "different voltages must miss the factor cache");
+        let at_18 = row.guardband(core, Volts::from_millivolts(18.0), 2.8);
+        let at_20 = row.guardband(core, Volts::from_millivolts(20.0), 2.8);
+        assert_ne!(at_18.power, at_20.power, "different TOBs must not share a cache entry");
+        // Ordered sequence keys: distinct rails never collide.
+        assert_ne!(domain_seq_key(&[DomainKind::Sa]), domain_seq_key(&[DomainKind::Io]));
+        assert_ne!(
+            domain_seq_key(&[DomainKind::Core0, DomainKind::Core1]),
+            domain_seq_key(&[DomainKind::Core1, DomainKind::Core0])
+        );
 
         let deep = Scenario::idle(&soc, pdn_proc::PackageCState::C6);
         let shallow = Scenario::idle(&soc, pdn_proc::PackageCState::C0Min);

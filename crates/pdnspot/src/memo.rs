@@ -21,52 +21,16 @@
 //! code that only knows the trait.
 
 use crate::error::PdnError;
-use crate::etee::{PdnEvaluation, RowStage, StagedPoint};
+use crate::etee::{PdnEvaluation, RowStage};
 use crate::params::ModelParams;
 use crate::scenario::Scenario;
 use crate::topology::{OffchipRail, Pdn, PdnKind};
 use pdn_proc::SocSpec;
+use pdn_workload::tracefile::Fnv1a;
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-
-/// Streaming 64-bit FNV-1a hasher used for memo keys and fingerprints.
-///
-/// Deterministic across runs and platforms (unlike `std`'s randomly seeded
-/// `DefaultHasher`), which keeps memo behaviour — and therefore hit-rate
-/// digests — reproducible.
-#[derive(Debug, Clone)]
-pub struct Fnv1a(u64);
-
-impl Fnv1a {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-
-    /// Starts a new hash at the FNV offset basis.
-    pub fn new() -> Self {
-        Self(Self::OFFSET)
-    }
-
-    /// Feeds one 64-bit word (little-endian byte order) into the hash.
-    pub fn write(&mut self, value: u64) {
-        for byte in value.to_le_bytes() {
-            self.0 ^= u64::from(byte);
-            self.0 = self.0.wrapping_mul(Self::PRIME);
-        }
-    }
-
-    /// The current hash value.
-    pub fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-impl Default for Fnv1a {
-    fn default() -> Self {
-        Self::new()
-    }
-}
 
 /// The `(PDN identity, scenario fingerprint)` cache key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -78,8 +42,8 @@ struct MemoKey {
 impl MemoKey {
     fn mixed(self) -> u64 {
         let mut h = Fnv1a::new();
-        h.write(self.pdn);
-        h.write(self.scenario);
+        h.write_u64(self.pdn);
+        h.write_u64(self.scenario);
         h.finish()
     }
 }
@@ -232,37 +196,9 @@ impl MemoCache {
     ///
     /// Propagates the underlying evaluation error (never cached).
     pub fn evaluate(&self, pdn: &dyn Pdn, scenario: &Scenario) -> Result<PdnEvaluation, PdnError> {
-        self.evaluate_impl(pdn, scenario, None)
-    }
-
-    /// [`MemoCache::evaluate`] with a per-point [`StagedPoint`] forwarded
-    /// to the PDN on a miss.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying evaluation error (never cached).
-    pub fn evaluate_staged(
-        &self,
-        pdn: &dyn Pdn,
-        scenario: &Scenario,
-        staged: &StagedPoint,
-    ) -> Result<PdnEvaluation, PdnError> {
-        self.evaluate_impl(pdn, scenario, Some(staged))
-    }
-
-    fn evaluate_impl(
-        &self,
-        pdn: &dyn Pdn,
-        scenario: &Scenario,
-        staged: Option<&StagedPoint>,
-    ) -> Result<PdnEvaluation, PdnError> {
-        let run = |staged: Option<&StagedPoint>| match staged {
-            Some(s) => pdn.evaluate_staged(scenario, s),
-            None => pdn.evaluate(scenario),
-        };
         let Some(token) = pdn.memo_token() else {
             self.bypasses.fetch_add(1, Ordering::Relaxed);
-            return run(staged);
+            return pdn.evaluate(scenario);
         };
         let key = MemoKey { pdn: token, scenario: scenario.fingerprint() };
         if let Some(hit) = self
@@ -276,7 +212,7 @@ impl MemoCache {
             return Ok(hit.clone());
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let value = run(staged)?;
+        let value = pdn.evaluate(scenario)?;
         self.insert(key, &value);
         Ok(value)
     }
@@ -462,14 +398,6 @@ impl Pdn for MemoPdn<'_> {
         self.cache.evaluate(self.inner, scenario)
     }
 
-    fn evaluate_staged(
-        &self,
-        scenario: &Scenario,
-        staged: &StagedPoint,
-    ) -> Result<PdnEvaluation, PdnError> {
-        self.cache.evaluate_staged(self.inner, scenario, staged)
-    }
-
     fn memo_token(&self) -> Option<u64> {
         self.inner.memo_token()
     }
@@ -497,23 +425,6 @@ mod tests {
             ApplicationRatio::new(ar).unwrap(),
         )
         .unwrap()
-    }
-
-    #[test]
-    fn fnv1a_is_deterministic_and_order_sensitive() {
-        let mut a = Fnv1a::new();
-        a.write(1);
-        a.write(2);
-        let mut b = Fnv1a::new();
-        b.write(2);
-        b.write(1);
-        assert_ne!(a.finish(), b.finish());
-        let mut c = Fnv1a::new();
-        c.write(1);
-        c.write(2);
-        assert_eq!(a.finish(), c.finish());
-        // The FNV-1a hash of the empty input is the offset basis.
-        assert_eq!(Fnv1a::new().finish(), 0xcbf2_9ce4_8422_2325);
     }
 
     #[test]

@@ -76,28 +76,28 @@ impl ModelParams {
     /// when they are numerically indistinguishable to the power models.
     /// Used as the parameter half of [`crate::topology::pdn_memo_token`].
     pub fn fingerprint(&self) -> u64 {
-        let mut h = crate::memo::Fnv1a::new();
-        h.write(self.supply_voltage.get().to_bits());
+        let mut h = pdn_workload::tracefile::Fnv1a::new();
+        h.write_u64(self.supply_voltage.get().to_bits());
         for ll in [
             &self.ivr_loadlines,
             &self.mbvr_loadlines,
             &self.ldo_loadlines,
             &self.flexwatts_loadlines,
         ] {
-            h.write(ll.vin.get().to_bits());
-            h.write(ll.compute.get().to_bits());
-            h.write(ll.sa.get().to_bits());
-            h.write(ll.io.get().to_bits());
+            h.write_u64(ll.vin.get().to_bits());
+            h.write_u64(ll.compute.get().to_bits());
+            h.write_u64(ll.sa.get().to_bits());
+            h.write_u64(ll.io.get().to_bits());
         }
         for tob in [&self.ivr_tob, &self.mbvr_tob, &self.ldo_tob] {
-            h.write(tob.controller.get().to_bits());
-            h.write(tob.current_sense.get().to_bits());
-            h.write(tob.ripple.get().to_bits());
+            h.write_u64(tob.controller.get().to_bits());
+            h.write_u64(tob.current_sense.get().to_bits());
+            h.write_u64(tob.ripple.get().to_bits());
         }
-        h.write(self.vin_level.get().to_bits());
-        h.write(self.leakage_exponent.to_bits());
-        h.write(self.ivr_lightload_cap as u64);
-        h.write(self.board_lightload_cap as u64);
+        h.write_u64(self.vin_level.get().to_bits());
+        h.write_u64(self.leakage_exponent.to_bits());
+        h.write_u64(self.ivr_lightload_cap as u64);
+        h.write_u64(self.board_lightload_cap as u64);
         h.finish()
     }
 

@@ -696,20 +696,20 @@ impl Scenario {
     /// every PDN. The derived `name` label is excluded. Used as the
     /// scenario half of the [`crate::memo`] cache key.
     pub fn fingerprint(&self) -> u64 {
-        let mut h = crate::memo::Fnv1a::new();
-        h.write(self.workload_type as u64);
-        h.write(self.ar.get().to_bits());
-        h.write(match self.power_state {
+        let mut h = pdn_workload::tracefile::Fnv1a::new();
+        h.write_u64(self.workload_type as u64);
+        h.write_u64(self.ar.get().to_bits());
+        h.write_u64(match self.power_state {
             None => u64::MAX,
             Some(s) => s as u64,
         });
-        h.write(self.tj.get().to_bits());
-        h.write(self.tdp.get().to_bits());
+        h.write_u64(self.tj.get().to_bits());
+        h.write_u64(self.tdp.get().to_bits());
         let mut write_load = |l: &DomainLoad| {
-            h.write(l.nominal_power.get().to_bits());
-            h.write(l.voltage.get().to_bits());
-            h.write(l.leakage_fraction.get().to_bits());
-            h.write(u64::from(l.powered));
+            h.write_u64(l.nominal_power.get().to_bits());
+            h.write_u64(l.voltage.get().to_bits());
+            h.write_u64(l.leakage_fraction.get().to_bits());
+            h.write_u64(u64::from(l.powered));
         };
         for l in self.loads.values() {
             write_load(l);
@@ -719,7 +719,7 @@ impl Scenario {
                 write_load(l);
             }
         }
-        h.write(self.virus_margin.to_bits());
+        h.write_u64(self.virus_margin.to_bits());
         h.finish()
     }
 
@@ -747,9 +747,9 @@ impl Scenario {
 /// [`Scenario::active`] pays ≈ 28 µs of virus sizing.
 mod staging {
     use super::{DomainLoad, PdnError, Scenario};
-    use crate::memo::Fnv1a;
     use pdn_proc::{DomainTable, SocSpec};
     use pdn_units::ApplicationRatio;
+    use pdn_workload::tracefile::Fnv1a;
     use pdn_workload::WorkloadType;
     use std::collections::HashMap;
     use std::sync::{Arc, Mutex, OnceLock};
@@ -821,28 +821,28 @@ mod staging {
     /// reads them.
     fn soc_fingerprint(soc: &SocSpec) -> u64 {
         let mut h = Fnv1a::new();
-        h.write(soc.tdp.get().to_bits());
-        h.write(soc.tj_active.get().to_bits());
+        h.write_u64(soc.tdp.get().to_bits());
+        h.write_u64(soc.tj_active.get().to_bits());
         for (kind, cfg) in soc.domains() {
-            h.write(kind as u64);
-            h.write(cfg.fmin.get().to_bits());
-            h.write(cfg.fmax.get().to_bits());
+            h.write_u64(kind as u64);
+            h.write_u64(cfg.fmin.get().to_bits());
+            h.write_u64(cfg.fmax.get().to_bits());
             let p = &cfg.power;
-            h.write(p.ceff.to_bits());
-            h.write(p.leak_ref.get().to_bits());
-            h.write(p.vref.get().to_bits());
-            h.write(p.tref.get().to_bits());
-            h.write(p.leak_voltage_exp.to_bits());
-            h.write(p.leak_temp_coeff.to_bits());
-            h.write(p.guardband_leakage_fraction.get().to_bits());
-            h.write(p.clock_fraction.to_bits());
+            h.write_u64(p.ceff.to_bits());
+            h.write_u64(p.leak_ref.get().to_bits());
+            h.write_u64(p.vref.get().to_bits());
+            h.write_u64(p.tref.get().to_bits());
+            h.write_u64(p.leak_voltage_exp.to_bits());
+            h.write_u64(p.leak_temp_coeff.to_bits());
+            h.write_u64(p.guardband_leakage_fraction.get().to_bits());
+            h.write_u64(p.clock_fraction.to_bits());
             for (f, v) in cfg.vf.points() {
-                h.write(f.get().to_bits());
-                h.write(v.get().to_bits());
+                h.write_u64(f.get().to_bits());
+                h.write_u64(v.get().to_bits());
             }
             // Knot-list terminator: keeps differently shaped curves from
             // aliasing under concatenation.
-            h.write(u64::MAX);
+            h.write_u64(u64::MAX);
         }
         h.finish()
     }

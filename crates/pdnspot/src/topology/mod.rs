@@ -27,15 +27,15 @@ pub use mbvr::MbvrPdn;
 
 use crate::error::PdnError;
 use crate::etee::{
-    board_vr_stage, load_line_domain_stage, DirectStager, LoadLineStep, PdnEvaluation,
-    RailLoadLine, RailReport, RowStage, StagedPoint, Stager,
+    board_vr_stage, load_line_domain_stage, LoadLineStep, PdnEvaluation, RailLoadLine, RailReport,
+    RowStage, Stager,
 };
-use crate::memo::Fnv1a;
 use crate::params::ModelParams;
 use crate::scenario::Scenario;
 use pdn_proc::{DomainKind, SocSpec};
 use pdn_units::{Amps, Ohms, Volts, Watts};
 use pdn_vr::{BuckConverter, OperatingPoint, VoltageRegulator};
+use pdn_workload::tracefile::Fnv1a;
 use pdn_workload::WorkloadType;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -91,29 +91,15 @@ pub trait Pdn: fmt::Debug + Send + Sync {
 
     /// Evaluates the end-to-end power flow for a scenario.
     ///
+    /// This is the plain, non-caching reference: the built-in topologies
+    /// run their kernel with [`crate::etee::DirectStager`], and the batch
+    /// row path ([`Pdn::evaluate_row`]) is checked against it.
+    ///
     /// # Errors
     ///
     /// Returns [`PdnError`] when a regulator cannot serve its operating
     /// point or the scenario is inconsistent.
     fn evaluate(&self, scenario: &Scenario) -> Result<PdnEvaluation, PdnError>;
-
-    /// [`Pdn::evaluate`] with a shared per-point staging cache: topologies
-    /// that route their PDN-independent stages through a [`Stager`] reuse
-    /// partials other PDNs already computed at the same lattice point.
-    /// Must return exactly the bits [`Pdn::evaluate`] would; the default
-    /// ignores the cache and evaluates directly.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Pdn::evaluate`].
-    fn evaluate_staged(
-        &self,
-        scenario: &Scenario,
-        staged: &StagedPoint,
-    ) -> Result<PdnEvaluation, PdnError> {
-        let _ = staged;
-        self.evaluate(scenario)
-    }
 
     /// Evaluates one lattice **row** — scenarios that share every sweep
     /// coordinate except one — in a single call, routing the
@@ -151,31 +137,46 @@ pub trait Pdn: fmt::Debug + Send + Sync {
     ///
     /// Propagates evaluation errors from the sizing scenarios.
     fn offchip_rails(&self, soc: &SocSpec) -> Result<Vec<OffchipRail>, PdnError> {
-        let mut merged: BTreeMap<String, OffchipRail> = BTreeMap::new();
-        for wl in [WorkloadType::MultiThread, WorkloadType::Graphics] {
-            let virus = Scenario::power_virus_at_tdp(soc, wl)?;
-            let eval = self.evaluate(&virus)?;
-            for rail in eval.rails {
-                let entry = merged.entry(rail.name.clone()).or_insert_with(|| OffchipRail {
-                    name: rail.name.clone(),
-                    iccmax: Amps::ZERO,
-                    voltage: rail.voltage,
-                });
-                if rail.current > entry.iccmax {
-                    entry.iccmax = rail.current;
-                    entry.voltage = rail.voltage;
-                }
+        size_offchip_rails(self, soc)
+    }
+}
+
+/// Sizes `pdn`'s off-chip rails for a SoC (the [`Pdn::offchip_rails`]
+/// default): evaluates the TDP-limited multi-thread and graphics power
+/// viruses, keeps each rail's worst current, and adds a 10 % electrical
+/// design margin (§3.2).
+///
+/// # Errors
+///
+/// Propagates evaluation errors from the sizing scenarios.
+pub fn size_offchip_rails<P: Pdn + ?Sized>(
+    pdn: &P,
+    soc: &SocSpec,
+) -> Result<Vec<OffchipRail>, PdnError> {
+    let mut merged: BTreeMap<String, OffchipRail> = BTreeMap::new();
+    for wl in [WorkloadType::MultiThread, WorkloadType::Graphics] {
+        let virus = Scenario::power_virus_at_tdp(soc, wl)?;
+        let eval = pdn.evaluate(&virus)?;
+        for rail in eval.rails {
+            let entry = merged.entry(rail.name.clone()).or_insert_with(|| OffchipRail {
+                name: rail.name.clone(),
+                iccmax: Amps::ZERO,
+                voltage: rail.voltage,
+            });
+            if rail.current > entry.iccmax {
+                entry.iccmax = rail.current;
+                entry.voltage = rail.voltage;
             }
         }
-        const DESIGN_MARGIN: f64 = 1.1;
-        Ok(merged
-            .into_values()
-            .map(|mut r| {
-                r.iccmax = r.iccmax * DESIGN_MARGIN;
-                r
-            })
-            .collect())
     }
+    const DESIGN_MARGIN: f64 = 1.1;
+    Ok(merged
+        .into_values()
+        .map(|mut r| {
+            r.iccmax = r.iccmax * DESIGN_MARGIN;
+            r
+        })
+        .collect())
 }
 
 /// Outcome of pushing one domain through an on-chip conversion stage.
@@ -190,19 +191,10 @@ pub struct DomainStage {
 }
 
 /// Pushes one powered domain through tolerance band + on-die IVR
-/// conversion (the per-domain part of Eqs. 2 and 6).
+/// conversion (the per-domain part of Eqs. 2 and 6), with the guardband
+/// routed through a [`Stager`] so batch sweeps share the Eq. 2 partial
+/// across PDNs with the same TOB.
 pub fn ivr_domain_stage(
-    scenario: &Scenario,
-    kind: DomainKind,
-    params: &ModelParams,
-    ivr: &BuckConverter,
-) -> Result<DomainStage, PdnError> {
-    ivr_domain_stage_with(scenario, kind, params, ivr, &DirectStager)
-}
-
-/// [`ivr_domain_stage`] with the guardband routed through a [`Stager`], so
-/// batch sweeps share the Eq. 2 partial across PDNs with the same TOB.
-pub fn ivr_domain_stage_with(
     scenario: &Scenario,
     kind: DomainKind,
     params: &ModelParams,
@@ -217,7 +209,7 @@ pub fn ivr_domain_stage_with(
             vr_loss: Watts::ZERO,
         });
     }
-    let gb = stager.guardband(kind, load, params.ivr_tob.total(), params.leakage_exponent);
+    let gb = stager.guardband(load, params.ivr_tob.total(), params.leakage_exponent);
     let iout = gb.power / gb.voltage;
     let ps = ivr.best_power_state(iout).min(params.ivr_lightload_cap);
     let op = OperatingPoint::new(params.vin_level, gb.voltage, iout).with_power_state(ps);
@@ -230,20 +222,9 @@ pub fn ivr_domain_stage_with(
 }
 
 /// Pushes one powered domain through tolerance band + power gate, yielding
-/// the power it demands from a dedicated board rail (MBVR-style flow).
+/// the power it demands from a dedicated board rail (MBVR-style flow),
+/// with the guardband + gate routed through a [`Stager`].
 pub fn gated_domain_stage(
-    scenario: &Scenario,
-    kind: DomainKind,
-    tob: Volts,
-    r_pg: Ohms,
-    delta: f64,
-) -> (Watts, Volts, Watts) {
-    gated_domain_stage_with(scenario, kind, tob, r_pg, delta, &DirectStager)
-}
-
-/// [`gated_domain_stage`] with the guardband + gate routed through a
-/// [`Stager`].
-pub fn gated_domain_stage_with(
     scenario: &Scenario,
     kind: DomainKind,
     tob: Volts,
@@ -255,30 +236,16 @@ pub fn gated_domain_stage_with(
     if !load.powered || load.nominal_power.get() <= 0.0 {
         return (Watts::ZERO, load.voltage, Watts::ZERO);
     }
-    let pg = stager.gated(kind, load, tob, r_pg, delta);
+    let pg = stager.gated(load, tob, r_pg, delta);
     (pg.power, pg.voltage, pg.power - load.nominal_power)
 }
 
 /// A dedicated board rail serving one narrow-range domain (SA or IO):
 /// guardband + gate + load line + board VR (the MBVR flow of Eqs. 2–5
-/// applied to a single domain).
+/// applied to a single domain), with the PDN-independent stages routed
+/// through a [`Stager`].
 #[allow(clippy::too_many_arguments)]
 pub fn dedicated_rail_flow(
-    scenario: &Scenario,
-    kind: DomainKind,
-    tob: Volts,
-    r_pg: Ohms,
-    r_ll: Ohms,
-    vr: &BuckConverter,
-    params: &ModelParams,
-) -> Result<(Watts, Watts, Watts, Watts, RailReport), PdnError> {
-    dedicated_rail_flow_with(scenario, kind, tob, r_pg, r_ll, vr, params, &DirectStager)
-}
-
-/// [`dedicated_rail_flow`] with the PDN-independent stages routed through
-/// a [`Stager`].
-#[allow(clippy::too_many_arguments)]
-pub fn dedicated_rail_flow_with(
     scenario: &Scenario,
     kind: DomainKind,
     tob: Volts,
@@ -300,7 +267,7 @@ pub fn dedicated_rail_flow_with(
     dedicated_rail_finish(step, vr, params, overhead)
 }
 
-/// Front half of [`dedicated_rail_flow_with`] — guardband + power gate —
+/// Front half of [`dedicated_rail_flow`] — guardband + power gate —
 /// yielding the rail's load-line lane and the Eq. 2 overhead, so callers
 /// with several dedicated rails can advance the load-line fixed points in
 /// lockstep ([`crate::etee::load_line_domain_stages`]) instead of paying
@@ -315,7 +282,7 @@ pub(crate) fn dedicated_rail_lane(
     stager: &impl Stager,
 ) -> (RailLoadLine, Watts) {
     let (p_d, v_d, overhead) =
-        gated_domain_stage_with(scenario, kind, tob, r_pg, params.leakage_exponent, stager);
+        gated_domain_stage(scenario, kind, tob, r_pg, params.leakage_exponent, stager);
     let lane = RailLoadLine {
         power: p_d,
         voltage: v_d,
@@ -326,7 +293,7 @@ pub(crate) fn dedicated_rail_lane(
     (lane, overhead)
 }
 
-/// Back half of [`dedicated_rail_flow_with`]: the board VR behind an
+/// Back half of [`dedicated_rail_flow`]: the board VR behind an
 /// already-advanced load-line step.
 pub(crate) fn dedicated_rail_finish(
     step: LoadLineStep,
@@ -351,9 +318,9 @@ pub(crate) fn dedicated_rail_finish(
 /// inputs match, which is exactly the "identical evaluations" contract.
 pub fn pdn_memo_token(kind: PdnKind, flavor: u64, params: &ModelParams) -> u64 {
     let mut h = Fnv1a::new();
-    h.write(kind as u64);
-    h.write(flavor);
-    h.write(params.fingerprint());
+    h.write_u64(kind as u64);
+    h.write_u64(flavor);
+    h.write_u64(params.fingerprint());
     h.finish()
 }
 

@@ -28,6 +28,7 @@ use crate::tables::EteeCurveSet;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use pdn_proc::PackageCState;
 use pdn_units::Grid2;
+use pdn_workload::tracefile::crc32;
 use pdn_workload::WorkloadType;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -265,19 +266,6 @@ fn state_from_key(key: u8) -> Option<PackageCState> {
     })
 }
 
-/// CRC-32 (IEEE 802.3, reflected) over a byte slice.
-fn crc32(data: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &byte in data {
-        crc ^= byte as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -344,7 +332,7 @@ mod tests {
         // Flipping the magic also breaks the CRC; fix the CRC to isolate
         // the magic check.
         let len = bad.len();
-        let crc = super::crc32(&bad[..len - 4]);
+        let crc = crc32(&bad[..len - 4]);
         bad[len - 4..].copy_from_slice(&crc.to_le_bytes());
         assert!(matches!(FirmwareImage::parse(&bad), Err(FirmwareError::BadMagic(_))));
     }
@@ -357,17 +345,11 @@ mod tests {
         let image = FirmwareImage::build(&curve_set());
         let mut oversized = image.as_bytes()[..image.len() - 4].to_vec();
         oversized.extend_from_slice(&[0xAB; 7]);
-        let crc = super::crc32(&oversized);
+        let crc = crc32(&oversized);
         oversized.extend_from_slice(&crc.to_le_bytes());
         assert_eq!(
             FirmwareImage::parse(&oversized),
             Err(FirmwareError::TrailingBytes { extra: 7 })
         );
-    }
-
-    #[test]
-    fn crc32_matches_known_vector() {
-        // The canonical IEEE CRC-32 of "123456789".
-        assert_eq!(super::crc32(b"123456789"), 0xCBF4_3926);
     }
 }

@@ -5,6 +5,7 @@
 
 use pdn_pmu::{EteeCurveSet, FirmwareError, FirmwareImage};
 use pdn_proc::client_soc;
+use pdn_workload::tracefile::crc32;
 use pdnspot::{IvrPdn, ModelParams};
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -19,20 +20,8 @@ fn reference_image() -> &'static FirmwareImage {
     })
 }
 
-/// CRC-32 (IEEE), reimplemented here so the tests can forge valid
-/// trailers and reach the parser stages behind the checksum gate.
-fn crc32(data: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &byte in data {
-        crc ^= byte as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
-}
-
+/// Appends a valid CRC trailer, so the tests can reach the parser stages
+/// behind the checksum gate.
 fn with_fixed_crc(mut payload: Vec<u8>) -> Vec<u8> {
     let crc = crc32(&payload);
     payload.extend_from_slice(&crc.to_le_bytes());

@@ -23,6 +23,7 @@ use crate::snapshot::{self, Snapshot, SnapshotError};
 use flexwatts::{FlexWattsAuto, ModePredictor};
 use pdn_proc::client_soc;
 use pdn_units::{ApplicationRatio, Watts};
+use pdn_workload::tracefile::Fnv1a;
 use pdn_workload::WorkloadType;
 use pdnspot::memo::MemoEntry;
 use pdnspot::sweep::{self, EteeSurface};
@@ -61,73 +62,57 @@ pub const POISON_THRESHOLD: u32 = 2;
 /// FNV-1a over the body's discriminant and parameter bit patterns.
 #[must_use]
 pub fn poison_key(body: &RequestBody) -> u64 {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    struct Fnv(u64);
-    impl Fnv {
-        fn u8(&mut self, v: u8) {
-            self.0 = (self.0 ^ u64::from(v)).wrapping_mul(FNV_PRIME);
-        }
-        fn u64(&mut self, v: u64) {
-            for b in v.to_le_bytes() {
-                self.u8(b);
-            }
-        }
-        fn f64(&mut self, v: f64) {
-            self.u64(v.to_bits());
-        }
-    }
-    let mut h = Fnv(FNV_OFFSET);
+    let mut h = Fnv1a::new();
     match body {
-        RequestBody::Ping => h.u8(0),
+        RequestBody::Ping => h.write_u8(0),
         RequestBody::Eval { pdn, point } => {
-            h.u8(1);
-            h.u8(pdn.to_wire());
+            h.write_u8(1);
+            h.write_u8(pdn.to_wire());
             let (a, b, c, d) = point.key();
-            h.u8(a);
-            h.u64(b);
-            h.u8(c);
-            h.u64(d);
+            h.write_u8(a);
+            h.write_u64(b);
+            h.write_u8(c);
+            h.write_u64(d);
         }
         RequestBody::Sample { pdn, workload, tdp, ar } => {
-            h.u8(2);
-            h.u8(pdn.to_wire());
-            h.u8(crate::protocol::workload_to_wire(*workload));
-            h.f64(*tdp);
-            h.f64(*ar);
+            h.write_u8(2);
+            h.write_u8(pdn.to_wire());
+            h.write_u8(crate::protocol::workload_to_wire(*workload));
+            h.write_u64(tdp.to_bits());
+            h.write_u64(ar.to_bits());
         }
         RequestBody::Sweep { pdns, tdps, workloads, ars } => {
-            h.u8(3);
+            h.write_u8(3);
             for p in pdns {
-                h.u8(p.to_wire());
+                h.write_u8(p.to_wire());
             }
-            h.u8(0xFF);
+            h.write_u8(0xFF);
             for &t in tdps {
-                h.f64(t);
+                h.write_u64(t.to_bits());
             }
-            h.u8(0xFF);
+            h.write_u8(0xFF);
             for w in workloads {
-                h.u8(crate::protocol::workload_to_wire(*w));
+                h.write_u8(crate::protocol::workload_to_wire(*w));
             }
-            h.u8(0xFF);
+            h.write_u8(0xFF);
             for &a in ars {
-                h.f64(a);
+                h.write_u64(a.to_bits());
             }
         }
         RequestBody::Crossover { a, b, workload, ar, range } => {
-            h.u8(4);
-            h.u8(a.to_wire());
-            h.u8(b.to_wire());
-            h.u8(crate::protocol::workload_to_wire(*workload));
-            h.f64(*ar);
-            h.f64(range.0);
-            h.f64(range.1);
+            h.write_u8(4);
+            h.write_u8(a.to_wire());
+            h.write_u8(b.to_wire());
+            h.write_u8(crate::protocol::workload_to_wire(*workload));
+            h.write_u64(ar.to_bits());
+            h.write_u64(range.0.to_bits());
+            h.write_u64(range.1.to_bits());
         }
-        RequestBody::Stats => h.u8(5),
-        RequestBody::Snapshot => h.u8(6),
-        RequestBody::Shutdown => h.u8(7),
+        RequestBody::Stats => h.write_u8(5),
+        RequestBody::Snapshot => h.write_u8(6),
+        RequestBody::Shutdown => h.write_u8(7),
     }
-    h.0
+    h.finish()
 }
 
 /// A fault the chaos harness injects ahead of real evaluation.
@@ -580,6 +565,20 @@ mod tests {
             .memo_capacity(1 << 12)
             .build()
             .expect("valid config")
+    }
+
+    #[test]
+    fn poison_keys_are_pinned() {
+        // FNV-1a over the discriminant byte, the ids, then each f64's
+        // little-endian bits; these values must never drift.
+        assert_eq!(poison_key(&RequestBody::Ping), 0xaf63_bd4c_8601_b7df);
+        let sample = RequestBody::Sample {
+            pdn: PdnId::FlexWatts,
+            workload: WorkloadType::MultiThread,
+            tdp: 18.0,
+            ar: 0.6,
+        };
+        assert_eq!(poison_key(&sample), 0x3503_dc66_6999_0768);
     }
 
     #[test]

@@ -23,11 +23,12 @@
 //! under another.
 
 use crate::protocol::{decode_evaluation, encode_evaluation};
-use crate::wire::{crc32, BodyReader, BodyWriter, DecodeError};
+use crate::wire::{BodyReader, BodyWriter, DecodeError};
+use pdn_workload::tracefile::crc32;
 use pdnspot::memo::MemoEntry;
 use std::ffi::OsString;
 use std::fmt;
-use std::io::{self, Write};
+use std::io;
 use std::path::{Path, PathBuf};
 
 /// Snapshot magic: the ASCII bytes `PDNW` read as a little-endian `u32`.
@@ -205,11 +206,10 @@ pub fn generation_path(path: &Path, n: usize) -> PathBuf {
     path.with_file_name(name)
 }
 
-/// Writes a snapshot file crash-safely, returning the byte count:
-/// the bytes land in a uniquely named temp file in the target
-/// directory, are fsynced, and only then renamed over `path` (with a
-/// best-effort directory fsync after). A crash at any instant leaves
-/// either the old snapshot or the new one — never a torn file.
+/// Writes a snapshot file crash-safely
+/// ([`pdn_workload::durable::write_file`]), returning the byte count. A
+/// crash at any instant leaves either the old snapshot or the new one —
+/// never a torn file.
 ///
 /// # Errors
 ///
@@ -217,30 +217,7 @@ pub fn generation_path(path: &Path, n: usize) -> PathBuf {
 /// removed on a failed write).
 pub fn write_file(path: &Path, snap: &Snapshot) -> Result<u64, SnapshotError> {
     let bytes = encode(snap);
-    let mut name = path.file_name().map_or_else(OsString::new, OsString::from);
-    name.push(format!(".tmp.{}", std::process::id()));
-    let tmp = path.with_file_name(name);
-    let write = (|| -> io::Result<()> {
-        let mut file = std::fs::File::create(&tmp)?;
-        file.write_all(&bytes)?;
-        file.sync_all()?;
-        Ok(())
-    })();
-    if let Err(e) = write {
-        let _ = std::fs::remove_file(&tmp);
-        return Err(e.into());
-    }
-    if let Err(e) = std::fs::rename(&tmp, path) {
-        let _ = std::fs::remove_file(&tmp);
-        return Err(e.into());
-    }
-    // Persist the rename itself. Directory fsync is platform-dependent;
-    // failure here cannot un-rename, so it is best-effort.
-    if let Some(parent) = path.parent() {
-        if let Ok(dir) = std::fs::File::open(parent) {
-            let _ = dir.sync_all();
-        }
-    }
+    pdn_workload::durable::write_file(path, &bytes)?;
     Ok(bytes.len() as u64)
 }
 

@@ -20,7 +20,10 @@
 //! * [`zoo`] — deterministic realistic trace scenarios (server bursts,
 //!   frame-locked gaming, ML inference, thermally-throttled mobile).
 //! * [`tracefile`] — the crash-tolerant chunked binary trace-file format
-//!   and its bounded-memory streaming reader.
+//!   and its bounded-memory streaming reader, plus the shared CRC-32 and
+//!   FNV-1a hashes.
+//! * [`durable`] — the crash-safe whole-file write behind replay
+//!   checkpoints and serve snapshots.
 //!
 //! # Examples
 //!
@@ -37,6 +40,7 @@
 #![warn(missing_debug_implementations)]
 
 pub mod batterylife;
+pub mod durable;
 pub mod graphics;
 pub mod mixes;
 pub mod spec;

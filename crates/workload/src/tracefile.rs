@@ -74,8 +74,9 @@ const FOOTER_PAYLOAD: usize = 16;
 /// Read granularity for the streaming reader.
 const READ_CHUNK: usize = 64 * 1024;
 
-/// CRC-32 (IEEE, reflected) — the same polynomial the firmware image
-/// trailer and the wire protocol use.
+/// CRC-32 (IEEE 802.3, reflected) — the one checksum of every framed
+/// format: `.pdnt` frames, replay checkpoints, PMU firmware images, and
+/// `pdn-serve` wire frames and snapshots.
 pub fn crc32(data: &[u8]) -> u32 {
     let mut crc = !0u32;
     for &byte in data {
@@ -88,15 +89,63 @@ pub fn crc32(data: &[u8]) -> u32 {
     !crc
 }
 
-/// 64-bit FNV-1a over `data` — used to fingerprint a trace file's header
-/// so replay checkpoints can refuse to resume against a different file.
-pub fn fnv1a64(data: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &byte in data {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+/// Streaming 64-bit FNV-1a hasher: trace-header and replay fingerprints,
+/// PDNspot memo keys, and `pdn-serve` poison keys.
+///
+/// Deterministic across runs and platforms (unlike `std`'s randomly seeded
+/// `DefaultHasher`), which keeps every fingerprint it feeds — and the memo
+/// hit-rate digests — reproducible.
+#[derive(Debug, Clone)]
+pub struct Fnv1a(u64);
+
+impl Fnv1a {
+    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+
+    /// Starts a new hash at the FNV offset basis.
+    #[inline]
+    pub fn new() -> Self {
+        Self(Self::OFFSET)
     }
-    hash
+
+    /// The hash of one byte string.
+    #[inline]
+    pub fn hash(data: &[u8]) -> u64 {
+        let mut h = Self::new();
+        h.write_bytes(data);
+        h.finish()
+    }
+
+    /// Feeds one byte into the hash.
+    #[inline]
+    pub fn write_u8(&mut self, byte: u8) {
+        self.0 = (self.0 ^ u64::from(byte)).wrapping_mul(Self::PRIME);
+    }
+
+    #[inline]
+    fn write_bytes(&mut self, data: &[u8]) {
+        for &byte in data {
+            self.write_u8(byte);
+        }
+    }
+
+    /// Feeds one 64-bit word (little-endian byte order) into the hash.
+    #[inline]
+    pub fn write_u64(&mut self, value: u64) {
+        self.write_bytes(&value.to_le_bytes());
+    }
+
+    /// The current hash value.
+    #[inline]
+    pub fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -931,8 +980,13 @@ impl<R: Read> TraceReader<R> {
                 }))
             }
         };
-        self.header =
-            TraceFileHeader { version, flags, chunk_capacity, name, fingerprint: fnv1a64(head) };
+        self.header = TraceFileHeader {
+            version,
+            flags,
+            chunk_capacity,
+            name,
+            fingerprint: Fnv1a::hash(head),
+        };
         self.pos += total;
         Ok(())
     }
@@ -1328,6 +1382,21 @@ mod tests {
     #[test]
     fn crc_matches_wire_vector() {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+    }
+
+    #[test]
+    fn fnv1a_matches_reference_vectors() {
+        // The FNV-1a hash of the empty input is the offset basis.
+        assert_eq!(Fnv1a::new().finish(), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(Fnv1a::hash(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(Fnv1a::hash(b"123456789"), 0x06d5_5739_23c6_cdfc);
+        // A word is its little-endian bytes, and order matters.
+        let mut word = Fnv1a::new();
+        word.write_u64(0x0102);
+        assert_eq!(word.finish(), Fnv1a::hash(&[2, 1, 0, 0, 0, 0, 0, 0]));
+        let mut swapped = Fnv1a::new();
+        swapped.write_u64(0x0201);
+        assert_ne!(word.finish(), swapped.finish());
     }
 
     #[test]
