@@ -14,7 +14,7 @@
 
 use crate::topology::{FlexWattsPdn, PdnMode};
 use pdn_units::Amps;
-use pdnspot::{Pdn, PdnError, Scenario};
+use pdnspot::PdnError;
 use serde::{Deserialize, Serialize};
 
 /// The PMU's maximum-current protection for the shared `V_IN` rail.
@@ -83,33 +83,19 @@ impl MaxCurrentProtection {
         vin_current > self.trip_current()
     }
 
-    /// Applies the protection to a mode decision: if running `scenario` in
-    /// the decided mode would exceed the trip current on `V_IN`, the
+    /// Applies the protection to a mode decision: if LDO-Mode was decided
+    /// and its `V_IN` current (`ldo_vin_current`, the rail current of the
+    /// interval evaluated in LDO-Mode) would exceed the trip current, the
     /// decision is overridden to IVR-Mode (whose higher rail voltage
     /// halves the current).
     ///
     /// Returns the (possibly overridden) mode and whether an override
     /// fired.
-    ///
-    /// # Errors
-    ///
-    /// Propagates evaluation errors.
-    pub fn enforce(
-        &self,
-        decided: PdnMode,
-        ldo_mode: &FlexWattsPdn,
-        scenario: &Scenario,
-    ) -> Result<(PdnMode, bool), PdnError> {
-        if decided == PdnMode::IvrMode {
-            return Ok((decided, false));
-        }
-        let eval = ldo_mode.evaluate(scenario)?;
-        let vin_current =
-            eval.rails.iter().find(|r| r.name == "V_IN").map(|r| r.current).unwrap_or(Amps::ZERO);
-        if self.would_trip(vin_current) {
-            Ok((PdnMode::IvrMode, true))
+    pub fn enforce(&self, decided: PdnMode, ldo_vin_current: Amps) -> (PdnMode, bool) {
+        if decided == PdnMode::LdoMode && self.would_trip(ldo_vin_current) {
+            (PdnMode::IvrMode, true)
         } else {
-            Ok((decided, false))
+            (decided, false)
         }
     }
 }
@@ -117,10 +103,16 @@ impl MaxCurrentProtection {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::topology::vin_rail_current;
     use pdn_proc::client_soc;
     use pdn_units::{ApplicationRatio, Watts};
     use pdn_workload::WorkloadType;
-    use pdnspot::ModelParams;
+    use pdnspot::{ModelParams, Pdn, Scenario};
+
+    /// The `V_IN` current of `scenario` evaluated in LDO-Mode.
+    fn ldo_vin(ldo: &FlexWattsPdn, scenario: &Scenario) -> Amps {
+        vin_rail_current(&ldo.evaluate(scenario).unwrap())
+    }
 
     fn protection(tdp: f64) -> (MaxCurrentProtection, FlexWattsPdn, pdn_proc::SocSpec) {
         let params = ModelParams::paper_defaults();
@@ -140,16 +132,18 @@ mod tests {
             ApplicationRatio::new(0.6).unwrap(),
         )
         .unwrap();
-        let (mode, fired) = prot.enforce(PdnMode::IvrMode, &ldo, &s).unwrap();
+        let (mode, fired) = prot.enforce(PdnMode::IvrMode, ldo_vin(&ldo, &s));
         assert_eq!(mode, PdnMode::IvrMode);
         assert!(!fired);
+        // An IVR-Mode decision is never overridden, whatever LDO-Mode would draw.
+        assert_eq!(prot.enforce(PdnMode::IvrMode, prot.trip_current() * 2.0), (mode, false));
     }
 
     #[test]
     fn light_ldo_mode_loads_are_allowed() {
         let (prot, ldo, soc) = protection(18.0);
         let s = Scenario::idle(&soc, pdn_proc::PackageCState::C0Min);
-        let (mode, fired) = prot.enforce(PdnMode::LdoMode, &ldo, &s).unwrap();
+        let (mode, fired) = prot.enforce(PdnMode::LdoMode, ldo_vin(&ldo, &s));
         assert_eq!(mode, PdnMode::LdoMode);
         assert!(!fired, "C0MIN currents are far below the trip point");
     }
@@ -161,7 +155,7 @@ mod tests {
         // protection must fire.
         let (prot, ldo, soc) = protection(50.0);
         let virus = Scenario::power_virus_at_tdp(&soc, WorkloadType::MultiThread).unwrap();
-        let (mode, fired) = prot.enforce(PdnMode::LdoMode, &ldo, &virus).unwrap();
+        let (mode, fired) = prot.enforce(PdnMode::LdoMode, ldo_vin(&ldo, &virus));
         assert_eq!(mode, PdnMode::IvrMode);
         assert!(fired, "the power virus in LDO-Mode must trip the protection");
     }
@@ -202,14 +196,7 @@ mod tests {
         let soc = client_soc(Watts::new(25.0));
         let virus = Scenario::power_virus_at_tdp(&soc, WorkloadType::MultiThread).unwrap();
         let vin_current = |mode: PdnMode| -> f64 {
-            FlexWattsPdn::new(params.clone(), mode)
-                .evaluate(&virus)
-                .unwrap()
-                .rails
-                .iter()
-                .find(|r| r.name == "V_IN")
-                .unwrap()
-                .current
+            vin_rail_current(&FlexWattsPdn::new(params.clone(), mode).evaluate(&virus).unwrap())
                 .get()
         };
         let ratio = vin_current(PdnMode::LdoMode) / vin_current(PdnMode::IvrMode);

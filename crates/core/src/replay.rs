@@ -28,7 +28,7 @@ use pdn_workload::tracefile::{
     crc32, DefectCounts, DefectPolicy, Fnv1a, TraceFileError, TraceReader,
 };
 use pdn_workload::TraceInterval;
-use pdnspot::batch::{par_map, Workers};
+use pdnspot::batch::Workers;
 use pdnspot::PdnError;
 use std::fmt;
 use std::fs::File;
@@ -425,12 +425,10 @@ impl<'rt> TraceReplayer<'rt> {
     ///
     /// Propagates PDNspot evaluation errors.
     pub fn feed(&mut self, intervals: &[TraceInterval]) -> Result<(), PdnError> {
-        let prepared = par_map(intervals, self.workers, |_, interval| {
-            self.rt.prepare_interval(interval.phase)
-        });
+        let prepared = self.rt.prepare_batch(intervals, self.workers);
         for (interval, prep) in intervals.iter().zip(prepared) {
             let prep = prep?;
-            self.state.step(self.rt, &self.sensors, interval, &prep)?;
+            self.state.step(self.rt, &self.sensors, interval, prep)?;
             self.intervals_done += 1;
         }
         Ok(())

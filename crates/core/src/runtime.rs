@@ -11,13 +11,13 @@
 use crate::predictor::{ModePredictor, PredictorInputs};
 use crate::protection::MaxCurrentProtection;
 use crate::switchflow::{ModeSwitchFlow, SwitchTransition};
-use crate::topology::{FlexWattsPdn, PdnMode};
+use crate::topology::{vin_rail_current, FlexWattsPdn, PdnMode};
 use pdn_pmu::{classify_workload, ActivitySensorBank, CStateDriver};
 use pdn_proc::{DomainKind, DomainTable, PackageCState, SocSpec};
-use pdn_units::{Amps, Seconds, Volts, Watts};
-use pdn_workload::{Phase, Trace, WorkloadType};
+use pdn_units::{Amps, ApplicationRatio, Seconds, Volts, Watts};
+use pdn_workload::{Phase, Trace, TraceInterval, WorkloadType};
 use pdnspot::batch::{par_map, Workers};
-use pdnspot::{ModelParams, Pdn, PdnError, Scenario};
+use pdnspot::{ModelParams, Pdn, PdnError, PdnEvaluation, RowStage, Scenario};
 use std::collections::BTreeMap;
 
 /// Configuration of a runtime simulation.
@@ -100,29 +100,75 @@ impl RuntimeReport {
     }
 }
 
-/// The pure (order-insensitive) part of one trace interval: the
-/// ground-truth scenario, both modes' input powers, the LDO-Mode `V_IN`
-/// rail current (what the maximum-current protection watches), and the
-/// PMU's domain-state workload classification.
+/// Intervals per prepare task. A slab is the unit of the prepare fan-out
+/// and of row grouping: its active intervals are built and evaluated as
+/// one row per workload type.
+const PREPARE_SLAB: usize = 256;
+
+/// The pure (order-insensitive) part of one trace interval: both modes'
+/// input powers, the LDO-Mode `V_IN` rail current (what the
+/// maximum-current protection watches) and rail level (what a mode
+/// switch slews to), and the PMU's domain-state workload classification.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct PreparedInterval {
-    pub(crate) scenario: Scenario,
     pub(crate) power_ivr: Watts,
     pub(crate) power_ldo: Watts,
     pub(crate) vin_ldo: Amps,
+    pub(crate) vin_level_ldo: Volts,
     pub(crate) estimated_type: WorkloadType,
+}
+
+/// Both modes' evaluation of one package C-state's idle scenario. Errors
+/// are kept, not raised, so they surface at the interval that needs the
+/// entry, exactly where a per-interval evaluation would have failed.
+#[derive(Debug)]
+struct IdleEntry {
+    state: PackageCState,
+    ivr: Result<Watts, PdnError>,
+    ldo: Result<(Watts, Amps), PdnError>,
+    vin_level_ldo: Volts,
+}
+
+/// The `V_IN` level LDO-Mode runs a scenario at: the highest powered
+/// wide-range domain voltage.
+fn ldo_vin_level(scenario: &Scenario) -> Volts {
+    scenario.max_voltage_among(&DomainKind::WIDE_RANGE).unwrap_or(Volts::new(0.85))
+}
+
+/// Folds one scenario's two mode evaluations into a prepared interval.
+/// An IVR-Mode error wins over an LDO-Mode one.
+fn prepared(
+    scenario: &Scenario,
+    ivr: Result<PdnEvaluation, PdnError>,
+    ldo: Result<PdnEvaluation, PdnError>,
+    estimated_type: WorkloadType,
+) -> Result<PreparedInterval, PdnError> {
+    let power_ivr = ivr?.input_power;
+    let ldo = ldo?;
+    Ok(PreparedInterval {
+        power_ivr,
+        power_ldo: ldo.input_power,
+        vin_ldo: vin_rail_current(&ldo),
+        vin_level_ldo: ldo_vin_level(scenario),
+        estimated_type,
+    })
 }
 
 /// The FlexWatts runtime simulator.
 #[derive(Debug)]
 pub struct FlexWattsRuntime {
     pub(crate) soc: SocSpec,
-    pub(crate) ivr_mode: FlexWattsPdn,
-    pub(crate) ldo_mode: FlexWattsPdn,
+    ivr_mode: FlexWattsPdn,
+    ldo_mode: FlexWattsPdn,
     pub(crate) predictor: ModePredictor,
     sensors: ActivitySensorBank,
     pub(crate) switch_flow: ModeSwitchFlow,
     pub(crate) protection: MaxCurrentProtection,
     pub(crate) config: RuntimeConfig,
+    /// One entry per [`PackageCState::ALL`] state: idle intervals and
+    /// mode switches (which park the package in C6) read it instead of
+    /// re-evaluating.
+    idle: Vec<IdleEntry>,
 }
 
 impl FlexWattsRuntime {
@@ -134,64 +180,129 @@ impl FlexWattsRuntime {
         config: RuntimeConfig,
     ) -> Self {
         let ivr_mode = FlexWattsPdn::new(params.clone(), PdnMode::IvrMode);
+        let ldo_mode = FlexWattsPdn::new(params, PdnMode::LdoMode);
         let protection = MaxCurrentProtection::from_rail_sizing(&ivr_mode, &soc)
             .expect("rail sizing of the client SoC is always feasible");
+        let idle = PackageCState::ALL
+            .iter()
+            .map(|&state| {
+                let scenario = Scenario::idle(&soc, state);
+                IdleEntry {
+                    state,
+                    ivr: ivr_mode.evaluate(&scenario).map(|e| e.input_power),
+                    ldo: ldo_mode
+                        .evaluate(&scenario)
+                        .map(|e| (e.input_power, vin_rail_current(&e))),
+                    vin_level_ldo: ldo_vin_level(&scenario),
+                }
+            })
+            .collect();
         Self {
-            ldo_mode: FlexWattsPdn::new(params, PdnMode::LdoMode),
             sensors: ActivitySensorBank::new(config.sensor_seed),
             switch_flow: ModeSwitchFlow::new(),
             ivr_mode,
+            ldo_mode,
             protection,
             predictor,
             soc,
             config,
+            idle,
         }
     }
 
-    pub(crate) fn pdn(&self, mode: PdnMode) -> &FlexWattsPdn {
+    fn idle_entry(&self, state: PackageCState) -> &IdleEntry {
+        self.idle.iter().find(|e| e.state == state).expect("every package C-state is tabulated")
+    }
+
+    /// The input power of a mode while the package sits in C6, as it does
+    /// for the whole of a mode switch.
+    pub(crate) fn c6_power(&self, mode: PdnMode) -> Result<Watts, PdnError> {
+        let entry = self.idle_entry(PackageCState::C6);
         match mode {
-            PdnMode::IvrMode => &self.ivr_mode,
-            PdnMode::LdoMode => &self.ldo_mode,
+            PdnMode::IvrMode => entry.ivr.clone(),
+            PdnMode::LdoMode => entry.ldo.clone().map(|(power, _)| power),
         }
     }
 
-    /// The `V_IN` level of a mode (used for switch slew accounting).
-    pub(crate) fn vin_level(&self, mode: PdnMode, scenario: &Scenario) -> Volts {
+    /// The `V_IN` level of a mode (used for switch slew accounting), given
+    /// the interval's LDO-Mode level.
+    pub(crate) fn vin_level(&self, mode: PdnMode, vin_level_ldo: Volts) -> Volts {
         match mode {
             PdnMode::IvrMode => self.ivr_mode.params().vin_level,
-            PdnMode::LdoMode => {
-                scenario.max_voltage_among(&DomainKind::WIDE_RANGE).unwrap_or(Volts::new(0.85))
-            }
+            PdnMode::LdoMode => vin_level_ldo,
         }
     }
 
-    /// Builds the pure per-interval state: the scenario and both modes'
-    /// evaluations (the expensive part of an interval, reused across
-    /// its evaluation chunks).
-    pub(crate) fn prepare_interval(&self, phase: Phase) -> Result<PreparedInterval, PdnError> {
-        let (scenario, estimated_type) = match phase {
-            Phase::Active { workload_type, ar } => {
-                let scenario = Scenario::active_fixed_tdp_frequency(&self.soc, workload_type, ar)?;
+    /// Prepares a batch of intervals, index-aligned with `intervals`.
+    ///
+    /// Fixed slabs of [`PREPARE_SLAB`] intervals fan out on the worker
+    /// pool. Within a slab, the active intervals of each workload type
+    /// form one row: one [`Scenario::active_fixed_tdp_frequency_row`]
+    /// build, then both modes' [`Pdn::evaluate_row`] over one shared
+    /// [`RowStage`]. Idle intervals copy the runtime's idle table. Every
+    /// entry carries exactly the bits a per-interval scalar build and
+    /// evaluation would produce, so the result does not depend on
+    /// `workers`.
+    pub(crate) fn prepare_batch(
+        &self,
+        intervals: &[TraceInterval],
+        workers: Workers,
+    ) -> Vec<Result<PreparedInterval, PdnError>> {
+        let slabs: Vec<&[TraceInterval]> = intervals.chunks(PREPARE_SLAB).collect();
+        par_map(&slabs, workers, |_, slab| self.prepare_slab(slab)).into_iter().flatten().collect()
+    }
+
+    fn prepare_slab(&self, slab: &[TraceInterval]) -> Vec<Result<PreparedInterval, PdnError>> {
+        let mut out: Vec<Option<Result<PreparedInterval, PdnError>>> = vec![None; slab.len()];
+        // Active intervals grouped by workload type: (type, slab indices, ARs).
+        let mut rows: Vec<(WorkloadType, Vec<usize>, Vec<ApplicationRatio>)> = Vec::new();
+        for (i, interval) in slab.iter().enumerate() {
+            match interval.phase {
+                Phase::Active { workload_type, ar } => {
+                    match rows.iter_mut().find(|(wt, ..)| *wt == workload_type) {
+                        Some((_, members, ars)) => {
+                            members.push(i);
+                            ars.push(ar);
+                        }
+                        None => rows.push((workload_type, vec![i], vec![ar])),
+                    }
+                }
+                Phase::Idle(state) => out[i] = Some(self.prepare_idle(state)),
+            }
+        }
+        for (workload_type, members, ars) in rows {
+            let scenarios =
+                match Scenario::active_fixed_tdp_frequency_row(&self.soc, workload_type, &ars) {
+                    Ok(scenarios) => scenarios,
+                    Err(e) => {
+                        for &i in &members {
+                            out[i] = Some(Err(e.clone()));
+                        }
+                        continue;
+                    }
+                };
+            let stage = RowStage::new();
+            let ivr = self.ivr_mode.evaluate_row(&scenarios, &stage);
+            let ldo = self.ldo_mode.evaluate_row(&scenarios, &stage);
+            for (((&i, scenario), ivr), ldo) in members.iter().zip(&scenarios).zip(ivr).zip(ldo) {
                 let powered = DomainTable::from_fn(|k| scenario.load(k).powered);
                 let estimated_type = classify_workload(&powered, None);
-                (scenario, estimated_type)
+                out[i] = Some(prepared(scenario, ivr, ldo, estimated_type));
             }
-            Phase::Idle(state) => (Scenario::idle(&self.soc, state), WorkloadType::BatteryLife),
-        };
-        let power_ivr = self.ivr_mode.evaluate(&scenario)?.input_power;
-        let ldo_eval = self.ldo_mode.evaluate(&scenario)?;
-        let vin_ldo = ldo_eval
-            .rails
-            .iter()
-            .find(|r| r.name == "V_IN")
-            .map(|r| r.current)
-            .unwrap_or(Amps::ZERO);
+        }
+        out.into_iter().map(|p| p.expect("every interval of the slab is prepared")).collect()
+    }
+
+    fn prepare_idle(&self, state: PackageCState) -> Result<PreparedInterval, PdnError> {
+        let entry = self.idle_entry(state);
+        let power_ivr = entry.ivr.clone()?;
+        let (power_ldo, vin_ldo) = entry.ldo.clone()?;
         Ok(PreparedInterval {
-            scenario,
             power_ivr,
-            power_ldo: ldo_eval.input_power,
+            power_ldo,
             vin_ldo,
-            estimated_type,
+            vin_level_ldo: entry.vin_level_ldo,
+            estimated_type: WorkloadType::BatteryLife,
         })
     }
 
@@ -211,7 +322,8 @@ impl FlexWattsRuntime {
     /// batch engine's worker pool.
     ///
     /// Scenario construction and the two per-interval mode evaluations
-    /// are pure, so they fan out in parallel; the stateful pass —
+    /// are pure, so they fan out in parallel as row computations
+    /// ([`prepare_batch`](Self::prepare_batch)); the stateful pass —
     /// activity-sensor estimates (an ordered jitter stream), predictor
     /// hysteresis, and mode-switch accounting — then replays serially
     /// in trace order, which keeps the report bit-identical for any
@@ -221,13 +333,11 @@ impl FlexWattsRuntime {
     ///
     /// Propagates PDNspot evaluation errors.
     pub fn run_with(&self, trace: &Trace, workers: Workers) -> Result<RuntimeReport, PdnError> {
-        let prepared = par_map(trace.intervals(), workers, |_, interval| {
-            self.prepare_interval(interval.phase)
-        });
-        let prepared: Vec<PreparedInterval> = prepared.into_iter().collect::<Result<_, _>>()?;
+        let prepared: Vec<PreparedInterval> =
+            self.prepare_batch(trace.intervals(), workers).into_iter().collect::<Result<_, _>>()?;
 
         let mut state = ReplayState::new(self);
-        for (interval, prep) in trace.intervals().iter().zip(&prepared) {
+        for (interval, &prep) in trace.intervals().iter().zip(&prepared) {
             state.step(self, &self.sensors, interval, prep)?;
         }
         Ok(state.finish())
@@ -292,21 +402,22 @@ impl ReplayState {
     /// Replays one interval: draws the PMU inputs (the sensor estimate
     /// is an ordered stream, so it happens here, not in the prepare
     /// fan-out), walks the evaluation-cadence chunks, and accumulates
-    /// energy and time.
+    /// energy and time. Pure arithmetic on the prepared record and the
+    /// runtime's idle table: no scenario build, no PDN evaluation.
     pub(crate) fn step(
         &mut self,
         rt: &FlexWattsRuntime,
         sensors: &ActivitySensorBank,
-        interval: &pdn_workload::TraceInterval,
-        prep: &PreparedInterval,
+        interval: &TraceInterval,
+        prep: PreparedInterval,
     ) -> Result<(), PdnError> {
-        let PreparedInterval { scenario, power_ivr, power_ldo, estimated_type, .. } = prep;
-        let (power_ivr, power_ldo) = (*power_ivr, *power_ldo);
+        let PreparedInterval { power_ivr, power_ldo, vin_ldo, vin_level_ldo, estimated_type } =
+            prep;
         let pmu_inputs = match interval.phase {
             Phase::Active { ar, .. } => PredictorInputs {
                 tdp: rt.soc.tdp,
                 ar: sensors.estimate(DomainKind::Core0, ar),
-                workload_type: *estimated_type,
+                workload_type: estimated_type,
                 power_state: None,
             },
             Phase::Idle(state) => PredictorInputs {
@@ -327,8 +438,7 @@ impl ReplayState {
                 self.evaluations += 1;
                 let mut decided = rt.predictor.predict_with_hysteresis(pmu_inputs, self.mode);
                 if rt.config.max_current_protection {
-                    let (enforced, fired) =
-                        rt.protection.enforce(decided, &rt.ldo_mode, scenario)?;
+                    let (enforced, fired) = rt.protection.enforce(decided, vin_ldo);
                     if fired {
                         self.protection_overrides += 1;
                     }
@@ -339,14 +449,13 @@ impl ReplayState {
                 }
                 if decided != self.mode {
                     // The mode switch forces ≈ 94 µs of C6 idleness.
-                    let v_from = rt.vin_level(self.mode, scenario);
-                    let v_to = rt.vin_level(decided, scenario);
+                    let v_from = rt.vin_level(self.mode, vin_level_ldo);
+                    let v_to = rt.vin_level(decided, vin_level_ldo);
                     let transition =
                         rt.switch_flow.execute(self.mode, decided, v_from, v_to, &mut self.driver);
                     let switch_time = transition.total();
                     // During the switch the package sits in C6.
-                    let c6 = Scenario::idle(&rt.soc, PackageCState::C6);
-                    let c6_power = rt.pdn(decided).evaluate(&c6)?.input_power;
+                    let c6_power = rt.c6_power(decided)?;
                     self.energy += c6_power * switch_time;
                     self.oracle_energy += c6_power * switch_time;
                     self.total_time += switch_time;
@@ -394,8 +503,8 @@ impl ReplayState {
 mod tests {
     use super::*;
     use pdn_proc::client_soc;
-    use pdn_units::ApplicationRatio;
-    use pdn_workload::{BatteryLifeWorkload, TraceInterval, WorkloadType};
+    use pdn_workload::BatteryLifeWorkload;
+    use proptest::prelude::*;
 
     fn predictor() -> ModePredictor {
         ModePredictor::train(
@@ -645,5 +754,114 @@ mod tests {
         );
         assert!(report.oracle_energy_joules <= report.energy_joules + 1e-12);
         assert!(report.predictor_evaluations >= 5);
+    }
+
+    const WORKLOAD_TYPES: [WorkloadType; 4] = [
+        WorkloadType::SingleThread,
+        WorkloadType::MultiThread,
+        WorkloadType::Graphics,
+        WorkloadType::BatteryLife,
+    ];
+
+    /// The per-interval scalar preparation, written out independently of
+    /// the runtime: the per-point scenario constructor, one plain
+    /// `evaluate` per mode, and the `V_IN` rail and level looked up on the
+    /// results.
+    fn scalar_reference(
+        soc: &SocSpec,
+        modes: &[FlexWattsPdn; 2],
+        phase: Phase,
+    ) -> Result<PreparedInterval, PdnError> {
+        let (scenario, estimated_type) = match phase {
+            Phase::Active { workload_type, ar } => {
+                let scenario = Scenario::active_fixed_tdp_frequency(soc, workload_type, ar)?;
+                let powered = DomainTable::from_fn(|k| scenario.load(k).powered);
+                (scenario, classify_workload(&powered, None))
+            }
+            Phase::Idle(state) => (Scenario::idle(soc, state), WorkloadType::BatteryLife),
+        };
+        let ivr = modes[0].evaluate(&scenario)?;
+        let ldo = modes[1].evaluate(&scenario)?;
+        let vin_ldo = ldo.rails.iter().find(|r| r.name == "V_IN").map_or(Amps::ZERO, |r| r.current);
+        let vin_level_ldo =
+            scenario.max_voltage_among(&DomainKind::WIDE_RANGE).unwrap_or(Volts::new(0.85));
+        Ok(PreparedInterval {
+            power_ivr: ivr.input_power,
+            power_ldo: ldo.input_power,
+            vin_ldo,
+            vin_level_ldo,
+            estimated_type,
+        })
+    }
+
+    /// Every field of a prepared interval, floats as raw bits.
+    fn bits(p: &PreparedInterval) -> (u64, u64, u64, u64, WorkloadType) {
+        (
+            p.power_ivr.get().to_bits(),
+            p.power_ldo.get().to_bits(),
+            p.vin_ldo.get().to_bits(),
+            p.vin_level_ldo.get().to_bits(),
+            p.estimated_type,
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(6))]
+
+        /// Random mixed traces over every workload type and all six
+        /// package C-states: the slab row preparation equals the scalar
+        /// reference bit for bit, field by field, at lengths on both sides
+        /// of the slab edges and for serial and parallel workers.
+        #[test]
+        fn prepare_batch_matches_the_scalar_reference_bitwise(
+            draws in proptest::collection::vec((0usize..10, 0usize..6, 0.01f64..1.0), 1000),
+            tdp_pick in 0usize..3,
+        ) {
+            let tdp = [4.0, 18.0, 50.0][tdp_pick];
+            let rt = runtime(tdp);
+            let intervals: Vec<TraceInterval> = draws
+                .iter()
+                .map(|&(kind, state, a)| {
+                    let duration = Seconds::from_millis(5.0);
+                    match kind {
+                        0..=3 => TraceInterval::active(duration, WORKLOAD_TYPES[kind], ar(a)),
+                        _ => TraceInterval::idle(duration, PackageCState::ALL[state]),
+                    }
+                })
+                .collect();
+            let params = ModelParams::paper_defaults();
+            let modes = [
+                FlexWattsPdn::new(params.clone(), PdnMode::IvrMode),
+                FlexWattsPdn::new(params, PdnMode::LdoMode),
+            ];
+            let reference: Vec<_> =
+                intervals.iter().map(|i| scalar_reference(&rt.soc, &modes, i.phase)).collect();
+            for len in [0, 1, PREPARE_SLAB - 1, PREPARE_SLAB, PREPARE_SLAB + 1, intervals.len()] {
+                for workers in [Workers::Serial, Workers::Fixed(3)] {
+                    let got = rt.prepare_batch(&intervals[..len], workers);
+                    prop_assert_eq!(got.len(), len);
+                    for (at, (got, want)) in got.iter().zip(&reference).enumerate() {
+                        match (got, want) {
+                            (Ok(got), Ok(want)) => prop_assert_eq!(bits(got), bits(want), "@{}", at),
+                            // Errors must surface at the same interval.
+                            _ => prop_assert_eq!(got, want, "@{}", at),
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn idle_table_matches_a_fresh_c6_evaluation() {
+        let rt = runtime(18.0);
+        let c6 = Scenario::idle(&rt.soc, PackageCState::C6);
+        for mode in PdnMode::ALL {
+            let fresh = FlexWattsPdn::new(ModelParams::paper_defaults(), mode).evaluate(&c6);
+            assert_eq!(
+                rt.c6_power(mode).unwrap().get().to_bits(),
+                fresh.unwrap().input_power.get().to_bits()
+            );
+        }
     }
 }

@@ -368,14 +368,17 @@ impl FlexWattsPdn {
         let mut worst = Amps::ZERO;
         for wl in [pdn_workload::WorkloadType::MultiThread, pdn_workload::WorkloadType::Graphics] {
             let virus = Scenario::power_virus_at_tdp(soc_ref, wl)?;
-            let eval = ldo.evaluate(&virus)?;
-            if let Some(rail) = eval.rails.iter().find(|r| r.name == "V_IN") {
-                worst = worst.max(rail.current);
-            }
+            worst = worst.max(vin_rail_current(&ldo.evaluate(&virus)?));
         }
         const DESIGN_MARGIN: f64 = 1.1;
         Ok(worst * DESIGN_MARGIN)
     }
+}
+
+/// The current an evaluation draws on the shared `V_IN` rail (zero when
+/// it reports no such rail).
+pub(crate) fn vin_rail_current(eval: &PdnEvaluation) -> Amps {
+    eval.rails.iter().find(|r| r.name == "V_IN").map_or(Amps::ZERO, |r| r.current)
 }
 
 /// The TDP around which the predictor's preferred mode flips for SPEC-like

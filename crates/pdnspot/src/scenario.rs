@@ -356,6 +356,33 @@ impl Scenario {
         Scenario::active(soc, workload_type, ar, f_cores, f_gfx)
     }
 
+    /// Row form of [`Scenario::active_fixed_tdp_frequency`]: one scenario
+    /// per entry of `ars` (fixed SoC and workload type), each bit-identical
+    /// to the per-point constructor's. The frequency solve, virus tables
+    /// and per-domain V/f and leakage terms are computed once for the
+    /// whole row, exactly as the batch engine's row builder does.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PdnError::Scenario`] if no domain ends up powered (the
+    /// powered set is AR-independent, so the whole row fails identically).
+    pub fn active_fixed_tdp_frequency_row(
+        soc: &SocSpec,
+        workload_type: WorkloadType,
+        ars: &[ApplicationRatio],
+    ) -> Result<Vec<Self>, PdnError> {
+        let t = Self::solve_t_fixed_tdp(soc, workload_type)?;
+        let suffixes: Vec<String> = ars.iter().map(|&ar| Self::ar_suffix(ar)).collect();
+        Self::active_fixed_tdp_row(
+            soc,
+            workload_type,
+            ars,
+            &suffixes,
+            t,
+            &Self::tdp_virus_loads(soc),
+        )
+    }
+
     /// The frequency scalar of the [`Scenario::active_fixed_tdp_frequency`]
     /// design point. Independent of AR — and a pure function of the
     /// (SoC, workload type) pair — so it is served from the process-wide
@@ -997,6 +1024,31 @@ mod tests {
                     assert_eq!(*got, direct);
                 }
             }
+        }
+    }
+
+    #[test]
+    fn public_active_row_matches_per_point_constructor_bit_for_bit() {
+        // Repeated and unsorted ARs, as an interval stream produces them.
+        let ars: Vec<_> = [0.6, 0.05, 1.0, 0.6, 0.33, 0.9].iter().map(|&v| ar(v)).collect();
+        for tdp in [4.0, 18.0, 50.0] {
+            let soc = client_soc(Watts::new(tdp));
+            for wl in [
+                WorkloadType::SingleThread,
+                WorkloadType::MultiThread,
+                WorkloadType::Graphics,
+                WorkloadType::BatteryLife,
+            ] {
+                let row = Scenario::active_fixed_tdp_frequency_row(&soc, wl, &ars).unwrap();
+                assert_eq!(row.len(), ars.len());
+                for (got, &a) in row.iter().zip(&ars) {
+                    let point = Scenario::active_fixed_tdp_frequency(&soc, wl, a).unwrap();
+                    assert_eq!(*got, point, "{wl} tdp={tdp} ar={a}");
+                    assert_eq!(got.fingerprint(), point.fingerprint());
+                }
+            }
+            let empty = Scenario::active_fixed_tdp_frequency_row(&soc, WorkloadType::Graphics, &[]);
+            assert_eq!(empty.unwrap(), Vec::new());
         }
     }
 
