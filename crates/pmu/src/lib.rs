@@ -40,6 +40,9 @@ pub mod sensors;
 pub mod tables;
 pub mod wltype;
 
+#[cfg(test)]
+mod golden;
+
 pub use budget::PowerBudgetManager;
 pub use cstate::CStateDriver;
 pub use firmware::{FirmwareError, FirmwareImage};
