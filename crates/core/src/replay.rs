@@ -18,21 +18,27 @@
 //! checkpoint that does not match both is ignored (cold start) — a
 //! stale or foreign checkpoint can never corrupt a replay. A damaged
 //! checkpoint file likewise degrades to a cold start, never a panic.
+//!
+//! A checkpoint file is a sealed record ([`pdn_workload::codec`];
+//! DESIGN.md, "Framed records") with magic `PDNC` and version 1. Its
+//! body is a reserved `u16`, then the fields of [`ReplayCheckpoint`] in
+//! declaration order — integers as little-endian `u64`, `f64`s and
+//! [`Seconds`] as raw bits, modes as one tag byte — with the switch list
+//! as a `u32` count of `from u8 | to u8 | c6_entry | vr_adjust |
+//! c6_exit` records.
 
 use crate::runtime::{FlexWattsRuntime, ReplayState, RuntimeReport};
 use crate::switchflow::SwitchTransition;
 use crate::topology::PdnMode;
 use pdn_pmu::{ActivitySensorBank, CStateDriver};
 use pdn_units::Seconds;
-use pdn_workload::tracefile::{
-    crc32, DefectCounts, DefectPolicy, Fnv1a, TraceFileError, TraceReader,
-};
+use pdn_workload::codec::{self, BodyReader, BodyWriter, DecodeError, FrameError};
+use pdn_workload::tracefile::{DefectCounts, DefectPolicy, Fnv1a, TraceFileError, TraceReader};
 use pdn_workload::TraceInterval;
 use pdnspot::batch::Workers;
 use pdnspot::PdnError;
 use std::fmt;
-use std::fs::File;
-use std::io::{self, Read};
+use std::io;
 use std::path::{Path, PathBuf};
 
 /// Checkpoint file magic: `"PDNC"`.
@@ -40,7 +46,7 @@ pub const CHECKPOINT_MAGIC: u32 = u32::from_le_bytes(*b"PDNC");
 /// Checkpoint format version.
 pub const CHECKPOINT_VERSION: u16 = 1;
 
-/// Fixed-size part of a checkpoint payload (everything before the
+/// Fixed-size part of a checkpoint record (everything before the
 /// switch list).
 const FIXED_LEN: usize = 8 /* magic+version+reserved */
     + 8 * 4  /* fingerprints, intervals_done, sensor_samples */
@@ -63,21 +69,11 @@ const SWITCH_LEN: usize = 2 + 8 * 3;
 pub enum CheckpointDefect {
     /// The file could not be read at all.
     Unreadable(io::ErrorKind),
-    /// Fewer bytes than the declared structure.
-    Truncated,
-    /// The leading magic is not `PDNC`.
-    BadMagic(u32),
-    /// A version this build does not speak.
-    UnsupportedVersion(u16),
-    /// The CRC-32 trailer does not match the body.
-    ChecksumMismatch {
-        /// CRC the trailer declares.
-        expected: u32,
-        /// CRC computed over the body.
-        found: u32,
-    },
-    /// Structurally inconsistent content.
-    Malformed(&'static str),
+    /// The record framing is damaged: truncated, wrong magic, CRC
+    /// mismatch, or an unsupported version.
+    Frame(FrameError),
+    /// Structurally inconsistent content behind a valid CRC.
+    Decode(DecodeError),
     /// The checkpoint belongs to a different trace file or runtime
     /// configuration.
     Mismatch(&'static str),
@@ -87,15 +83,8 @@ impl fmt::Display for CheckpointDefect {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             CheckpointDefect::Unreadable(kind) => write!(f, "checkpoint unreadable: {kind:?}"),
-            CheckpointDefect::Truncated => f.write_str("checkpoint truncated"),
-            CheckpointDefect::BadMagic(m) => write!(f, "checkpoint bad magic {m:#010x}"),
-            CheckpointDefect::UnsupportedVersion(v) => {
-                write!(f, "checkpoint version {v} unsupported")
-            }
-            CheckpointDefect::ChecksumMismatch { expected, found } => {
-                write!(f, "checkpoint checksum mismatch ({expected:#010x} vs {found:#010x})")
-            }
-            CheckpointDefect::Malformed(what) => write!(f, "checkpoint malformed: {what}"),
+            CheckpointDefect::Frame(e) => write!(f, "checkpoint record: {e}"),
+            CheckpointDefect::Decode(e) => write!(f, "checkpoint malformed: {e}"),
             CheckpointDefect::Mismatch(which) => {
                 write!(f, "checkpoint belongs to a different {which}")
             }
@@ -104,6 +93,12 @@ impl fmt::Display for CheckpointDefect {
 }
 
 impl std::error::Error for CheckpointDefect {}
+
+impl From<DecodeError> for CheckpointDefect {
+    fn from(e: DecodeError) -> Self {
+        CheckpointDefect::Decode(e)
+    }
+}
 
 /// The complete replay state between two intervals, ready to persist.
 ///
@@ -154,60 +149,47 @@ fn mode_tag(mode: PdnMode) -> u8 {
     }
 }
 
-fn decode_mode(tag: u8) -> Option<PdnMode> {
-    match tag {
-        0 => Some(PdnMode::IvrMode),
-        1 => Some(PdnMode::LdoMode),
-        _ => None,
-    }
+fn mode_from_tag(tag: u8) -> Option<PdnMode> {
+    PdnMode::ALL.into_iter().find(|&mode| mode_tag(mode) == tag)
 }
 
-fn get_u32(bytes: &[u8], at: usize) -> Option<u32> {
-    bytes.get(at..at + 4).map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-}
-
-fn get_u64(bytes: &[u8], at: usize) -> Option<u64> {
-    bytes
-        .get(at..at + 8)
-        .map(|b| u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
+fn seconds(r: &mut BodyReader<'_>) -> Result<Seconds, DecodeError> {
+    Ok(Seconds::new(r.f64()?))
 }
 
 impl ReplayCheckpoint {
     /// Serialises the checkpoint (hand-rolled codec; the vendored serde
-    /// is a no-op stub), CRC-32-trailed.
+    /// is a no-op stub) as a sealed record.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(FIXED_LEN + self.switches.len() * SWITCH_LEN + 4);
-        out.extend_from_slice(&CHECKPOINT_MAGIC.to_le_bytes());
-        out.extend_from_slice(&CHECKPOINT_VERSION.to_le_bytes());
-        out.extend_from_slice(&0u16.to_le_bytes()); // reserved
-        out.extend_from_slice(&self.trace_fingerprint.to_le_bytes());
-        out.extend_from_slice(&self.config_fingerprint.to_le_bytes());
-        out.extend_from_slice(&self.intervals_done.to_le_bytes());
-        out.extend_from_slice(&self.sensor_samples.to_le_bytes());
-        out.push(mode_tag(self.mode));
-        out.extend_from_slice(&self.energy.to_bits().to_le_bytes());
-        out.extend_from_slice(&self.oracle_energy.to_bits().to_le_bytes());
-        out.extend_from_slice(&self.total_time.get().to_bits().to_le_bytes());
-        out.extend_from_slice(&self.since_eval.get().to_bits().to_le_bytes());
-        out.extend_from_slice(&self.evaluations.to_le_bytes());
-        out.extend_from_slice(&self.correct_predictions.to_le_bytes());
-        out.extend_from_slice(&self.protection_overrides.to_le_bytes());
+        let mut w = BodyWriter::sealed(CHECKPOINT_MAGIC, CHECKPOINT_VERSION);
+        w.reserve(FIXED_LEN + self.switches.len() * SWITCH_LEN + 4);
+        w.u16(0); // reserved
+        w.u64(self.trace_fingerprint);
+        w.u64(self.config_fingerprint);
+        w.u64(self.intervals_done);
+        w.u64(self.sensor_samples);
+        w.u8(mode_tag(self.mode));
+        w.f64(self.energy);
+        w.f64(self.oracle_energy);
+        w.f64(self.total_time.get());
+        w.f64(self.since_eval.get());
+        w.u64(self.evaluations);
+        w.u64(self.correct_predictions);
+        w.u64(self.protection_overrides);
         for t in self.time_in_mode {
-            out.extend_from_slice(&t.get().to_bits().to_le_bytes());
+            w.f64(t.get());
         }
-        out.extend_from_slice(&self.driver_transitions.to_le_bytes());
-        out.extend_from_slice(&self.driver_transition_time.get().to_bits().to_le_bytes());
-        out.extend_from_slice(&(self.switches.len() as u32).to_le_bytes());
+        w.u64(self.driver_transitions);
+        w.f64(self.driver_transition_time.get());
+        w.u32(self.switches.len() as u32);
         for s in &self.switches {
-            out.push(mode_tag(s.from));
-            out.push(mode_tag(s.to));
-            out.extend_from_slice(&s.c6_entry.get().to_bits().to_le_bytes());
-            out.extend_from_slice(&s.vr_adjust.get().to_bits().to_le_bytes());
-            out.extend_from_slice(&s.c6_exit.get().to_bits().to_le_bytes());
+            w.u8(mode_tag(s.from));
+            w.u8(mode_tag(s.to));
+            w.f64(s.c6_entry.get());
+            w.f64(s.vr_adjust.get());
+            w.f64(s.c6_exit.get());
         }
-        let crc = crc32(&out);
-        out.extend_from_slice(&crc.to_le_bytes());
-        out
+        w.seal()
     }
 
     /// Decodes a checkpoint, verifying structure and CRC. Never panics
@@ -217,69 +199,37 @@ impl ReplayCheckpoint {
     ///
     /// A typed [`CheckpointDefect`] describing the first problem found.
     pub fn decode(bytes: &[u8]) -> Result<Self, CheckpointDefect> {
-        if bytes.len() < FIXED_LEN + 4 {
-            return Err(CheckpointDefect::Truncated);
-        }
-        let magic = get_u32(bytes, 0).ok_or(CheckpointDefect::Truncated)?;
-        if magic != CHECKPOINT_MAGIC {
-            return Err(CheckpointDefect::BadMagic(magic));
-        }
-        let version = u16::from_le_bytes([bytes[4], bytes[5]]);
-        if version != CHECKPOINT_VERSION {
-            return Err(CheckpointDefect::UnsupportedVersion(version));
-        }
-        let body_len = bytes.len() - 4;
-        let declared_crc = get_u32(bytes, body_len).ok_or(CheckpointDefect::Truncated)?;
-        let actual_crc = crc32(&bytes[..body_len]);
-        if declared_crc != actual_crc {
-            return Err(CheckpointDefect::ChecksumMismatch {
-                expected: declared_crc,
-                found: actual_crc,
-            });
-        }
-        let mut at = 8;
-        let read_u64 = |at: &mut usize| -> Result<u64, CheckpointDefect> {
-            let v = get_u64(bytes, *at).ok_or(CheckpointDefect::Truncated)?;
-            *at += 8;
-            Ok(v)
-        };
-        let trace_fingerprint = read_u64(&mut at)?;
-        let config_fingerprint = read_u64(&mut at)?;
-        let intervals_done = read_u64(&mut at)?;
-        let sensor_samples = read_u64(&mut at)?;
-        let mode_byte = *bytes.get(at).ok_or(CheckpointDefect::Truncated)?;
-        at += 1;
-        let mode = decode_mode(mode_byte).ok_or(CheckpointDefect::Malformed("mode tag"))?;
-        let energy = f64::from_bits(read_u64(&mut at)?);
-        let oracle_energy = f64::from_bits(read_u64(&mut at)?);
-        let total_time = Seconds::new(f64::from_bits(read_u64(&mut at)?));
-        let since_eval = Seconds::new(f64::from_bits(read_u64(&mut at)?));
-        let evaluations = read_u64(&mut at)?;
-        let correct_predictions = read_u64(&mut at)?;
-        let protection_overrides = read_u64(&mut at)?;
-        let time_in_mode = [
-            Seconds::new(f64::from_bits(read_u64(&mut at)?)),
-            Seconds::new(f64::from_bits(read_u64(&mut at)?)),
-        ];
-        let driver_transitions = read_u64(&mut at)?;
-        let driver_transition_time = Seconds::new(f64::from_bits(read_u64(&mut at)?));
-        let count = get_u32(bytes, at).ok_or(CheckpointDefect::Truncated)? as usize;
-        at += 4;
-        if body_len != at + count * SWITCH_LEN {
-            return Err(CheckpointDefect::Malformed("switch list length"));
+        let mut r = codec::open_sealed(bytes, CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
+            .map_err(CheckpointDefect::Frame)?;
+        let _reserved = r.u16()?;
+        let trace_fingerprint = r.u64()?;
+        let config_fingerprint = r.u64()?;
+        let intervals_done = r.u64()?;
+        let sensor_samples = r.u64()?;
+        let mode = r.tag("mode", mode_from_tag)?;
+        let energy = r.f64()?;
+        let oracle_energy = r.f64()?;
+        let total_time = seconds(&mut r)?;
+        let since_eval = seconds(&mut r)?;
+        let evaluations = r.u64()?;
+        let correct_predictions = r.u64()?;
+        let protection_overrides = r.u64()?;
+        let time_in_mode = [seconds(&mut r)?, seconds(&mut r)?];
+        let driver_transitions = r.u64()?;
+        let driver_transition_time = seconds(&mut r)?;
+        let count = r.u32()? as usize;
+        if r.remaining() != count * SWITCH_LEN {
+            return Err(DecodeError::BadLength { what: "switch list", len: count }.into());
         }
         let mut switches = Vec::with_capacity(count);
         for _ in 0..count {
-            let from = decode_mode(*bytes.get(at).ok_or(CheckpointDefect::Truncated)?)
-                .ok_or(CheckpointDefect::Malformed("switch from tag"))?;
-            let to = decode_mode(*bytes.get(at + 1).ok_or(CheckpointDefect::Truncated)?)
-                .ok_or(CheckpointDefect::Malformed("switch to tag"))?;
-            let mut field = at + 2;
-            let c6_entry = Seconds::new(f64::from_bits(read_u64(&mut field)?));
-            let vr_adjust = Seconds::new(f64::from_bits(read_u64(&mut field)?));
-            let c6_exit = Seconds::new(f64::from_bits(read_u64(&mut field)?));
-            switches.push(SwitchTransition { from, to, c6_entry, vr_adjust, c6_exit });
-            at += SWITCH_LEN;
+            switches.push(SwitchTransition {
+                from: r.tag("switch from", mode_from_tag)?,
+                to: r.tag("switch to", mode_from_tag)?,
+                c6_entry: seconds(&mut r)?,
+                vr_adjust: seconds(&mut r)?,
+                c6_exit: seconds(&mut r)?,
+            });
         }
         Ok(Self {
             trace_fingerprint,
@@ -320,10 +270,7 @@ impl ReplayCheckpoint {
     /// A typed [`CheckpointDefect`]; callers treat any of them as a
     /// cold start.
     pub fn load(path: impl AsRef<Path>) -> Result<Self, CheckpointDefect> {
-        let mut bytes = Vec::new();
-        File::open(path)
-            .and_then(|mut f| f.read_to_end(&mut bytes))
-            .map_err(|e| CheckpointDefect::Unreadable(e.kind()))?;
+        let bytes = std::fs::read(path).map_err(|e| CheckpointDefect::Unreadable(e.kind()))?;
         Self::decode(&bytes)
     }
 }

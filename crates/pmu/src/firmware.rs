@@ -8,11 +8,11 @@
 //! answer to "how much flash does the predictor cost?" (a few kilobytes
 //! for the paper's table resolution).
 //!
-//! Layout (little-endian):
+//! The image is a sealed record ([`pdn_workload::codec`]; DESIGN.md,
+//! "Framed records") with magic `PDNF` and version 1. Its body
+//! (little-endian):
 //!
 //! ```text
-//! magic  u32  = 0x50444E46 ("PDNF")
-//! version u16 = 1
 //! section count u16
 //! per section:
 //!   tag u8        (0 = active workload type, 1 = idle state)
@@ -21,15 +21,11 @@
 //!   row axis  [f64; rows]
 //!   col axis  [f64; cols]
 //!   values    [f64; rows*cols]
-//! crc32 u32 over everything before it
 //! ```
 
 use crate::tables::EteeCurveSet;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-use pdn_proc::PackageCState;
 use pdn_units::Grid2;
-use pdn_workload::tracefile::crc32;
-use pdn_workload::WorkloadType;
+use pdn_workload::codec::{self, BodyWriter, DecodeError, FrameError};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -39,19 +35,11 @@ const VERSION: u16 = 1;
 /// Error produced when parsing a firmware image.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FirmwareError {
-    /// The image does not start with the PDNF magic.
-    BadMagic(u32),
-    /// The image version is not supported.
-    UnsupportedVersion(u16),
-    /// The image is shorter than its own headers claim.
-    Truncated,
-    /// The CRC32 over the payload does not match.
-    ChecksumMismatch {
-        /// CRC stored in the image.
-        stored: u32,
-        /// CRC computed over the payload.
-        computed: u32,
-    },
+    /// The record framing is damaged: truncated, wrong magic, CRC
+    /// mismatch, or an unsupported version.
+    Frame(FrameError),
+    /// A section runs past the end of the image.
+    Decode(DecodeError),
     /// A section carried an unknown tag or key.
     BadSection {
         /// The offending tag byte.
@@ -73,15 +61,8 @@ pub enum FirmwareError {
 impl fmt::Display for FirmwareError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            FirmwareError::BadMagic(m) => write!(f, "bad firmware magic {m:#010x}"),
-            FirmwareError::UnsupportedVersion(v) => write!(f, "unsupported firmware version {v}"),
-            FirmwareError::Truncated => write!(f, "firmware image truncated"),
-            FirmwareError::ChecksumMismatch { stored, computed } => {
-                write!(
-                    f,
-                    "firmware checksum mismatch: stored {stored:#010x}, computed {computed:#010x}"
-                )
-            }
+            FirmwareError::Frame(e) => write!(f, "firmware image: {e}"),
+            FirmwareError::Decode(e) => write!(f, "firmware section: {e}"),
             FirmwareError::BadSection { tag, key } => {
                 write!(f, "unknown firmware section tag {tag}/key {key}")
             }
@@ -95,29 +76,31 @@ impl fmt::Display for FirmwareError {
 
 impl std::error::Error for FirmwareError {}
 
+impl From<DecodeError> for FirmwareError {
+    fn from(e: DecodeError) -> Self {
+        FirmwareError::Decode(e)
+    }
+}
+
 /// A serialised predictor curve set.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FirmwareImage {
-    bytes: Bytes,
+    bytes: Vec<u8>,
 }
 
 impl FirmwareImage {
     /// Serialises a curve set into a firmware image.
     pub fn build(set: &EteeCurveSet) -> Self {
-        let mut buf = BytesMut::new();
-        buf.put_u32_le(MAGIC);
-        buf.put_u16_le(VERSION);
+        let mut w = BodyWriter::sealed(MAGIC, VERSION);
         let sections = set.active.len() + set.idle.len();
-        buf.put_u16_le(sections as u16);
+        w.u16(sections as u16);
         for (wl, grid) in &set.active {
-            put_section(&mut buf, 0, workload_key(*wl), grid);
+            put_section(&mut w, 0, codec::workload_tag(*wl), grid);
         }
         for (state, grid) in &set.idle {
-            put_section(&mut buf, 1, state_key(*state), grid);
+            put_section(&mut w, 1, codec::cstate_tag(*state), grid);
         }
-        let crc = crc32(&buf);
-        buf.put_u32_le(crc);
-        Self { bytes: buf.freeze() }
+        Self { bytes: w.seal() }
     }
 
     /// The raw image bytes (what would be flashed).
@@ -142,135 +125,69 @@ impl FirmwareImage {
     /// Returns a [`FirmwareError`] for malformed, truncated, corrupted, or
     /// version-mismatched images.
     pub fn parse(data: &[u8]) -> Result<EteeCurveSet, FirmwareError> {
-        if data.len() < 12 {
-            return Err(FirmwareError::Truncated);
-        }
-        let (payload, crc_bytes) = data.split_at(data.len() - 4);
-        let stored = u32::from_le_bytes(crc_bytes.try_into().expect("4 bytes"));
-        let computed = crc32(payload);
-        if stored != computed {
-            return Err(FirmwareError::ChecksumMismatch { stored, computed });
-        }
-        let mut buf = payload;
-        let magic = buf.get_u32_le();
-        if magic != MAGIC {
-            return Err(FirmwareError::BadMagic(magic));
-        }
-        let version = buf.get_u16_le();
-        if version != VERSION {
-            return Err(FirmwareError::UnsupportedVersion(version));
-        }
-        let sections = buf.get_u16_le() as usize;
+        let mut r = codec::open_sealed(data, MAGIC, VERSION).map_err(FirmwareError::Frame)?;
+        let sections = r.u16()? as usize;
         let mut active = BTreeMap::new();
         let mut idle = BTreeMap::new();
         for _ in 0..sections {
-            if buf.remaining() < 6 {
-                return Err(FirmwareError::Truncated);
-            }
-            let tag = buf.get_u8();
-            let key = buf.get_u8();
-            let rows = buf.get_u16_le() as usize;
-            let cols = buf.get_u16_le() as usize;
-            let need = 8 * (rows + cols + rows * cols);
-            if buf.remaining() < need {
-                return Err(FirmwareError::Truncated);
-            }
-            let mut read_f64s =
-                |n: usize| -> Vec<f64> { (0..n).map(|_| buf.get_f64_le()).collect() };
-            let row_axis = read_f64s(rows);
-            let col_axis = read_f64s(cols);
-            let values = read_f64s(rows * cols);
-            let grid =
-                Grid2::from_rows(row_axis, col_axis, values).map_err(FirmwareError::BadGrid)?;
+            let tag = r.u8()?;
+            let key = r.u8()?;
+            let rows = r.u16()? as usize;
+            let cols = r.u16()? as usize;
+            // One bounds check for the whole section before any allocation.
+            let floats = r.raw(8 * (rows + cols + rows * cols))?;
+            let (row_axis, rest) = floats.split_at(8 * rows);
+            let (col_axis, values) = rest.split_at(8 * cols);
+            let f64s = |bytes| codec::u64_column(bytes).map(f64::from_bits).collect();
+            let grid = Grid2::from_rows(f64s(row_axis), f64s(col_axis), f64s(values))
+                .map_err(FirmwareError::BadGrid)?;
             match tag {
                 0 => {
-                    let wl =
-                        workload_from_key(key).ok_or(FirmwareError::BadSection { tag, key })?;
+                    let wl = codec::workload_from_tag(key)
+                        .ok_or(FirmwareError::BadSection { tag, key })?;
                     active.insert(wl, grid);
                 }
                 1 => {
-                    let state =
-                        state_from_key(key).ok_or(FirmwareError::BadSection { tag, key })?;
+                    let state = codec::cstate_from_tag(key)
+                        .ok_or(FirmwareError::BadSection { tag, key })?;
                     idle.insert(state, grid);
                 }
                 _ => return Err(FirmwareError::BadSection { tag, key }),
             }
         }
-        if buf.remaining() > 0 {
-            return Err(FirmwareError::TrailingBytes { extra: buf.remaining() });
+        if r.remaining() > 0 {
+            return Err(FirmwareError::TrailingBytes { extra: r.remaining() });
         }
         Ok(EteeCurveSet { active, idle })
     }
 }
 
-fn put_section(buf: &mut BytesMut, tag: u8, key: u8, grid: &Grid2) {
-    buf.put_u8(tag);
-    buf.put_u8(key);
+fn put_section(w: &mut BodyWriter, tag: u8, key: u8, grid: &Grid2) {
+    w.u8(tag);
+    w.u8(key);
     let (rows, cols) = grid.shape();
-    buf.put_u16_le(rows as u16);
-    buf.put_u16_le(cols as u16);
+    w.u16(rows as u16);
+    w.u16(cols as u16);
     for &r in grid.row_axis() {
-        buf.put_f64_le(r);
+        w.f64(r);
     }
     for &c in grid.col_axis() {
-        buf.put_f64_le(c);
+        w.f64(c);
     }
-    for r in 0..rows {
-        for c in 0..cols {
-            let row = grid.row_axis()[r];
-            let col = grid.col_axis()[c];
-            buf.put_f64_le(grid.eval(row, col));
+    for &row in grid.row_axis() {
+        for &col in grid.col_axis() {
+            w.f64(grid.eval(row, col));
         }
     }
-}
-
-fn workload_key(wl: WorkloadType) -> u8 {
-    match wl {
-        WorkloadType::SingleThread => 0,
-        WorkloadType::MultiThread => 1,
-        WorkloadType::Graphics => 2,
-        WorkloadType::BatteryLife => 3,
-    }
-}
-
-fn workload_from_key(key: u8) -> Option<WorkloadType> {
-    Some(match key {
-        0 => WorkloadType::SingleThread,
-        1 => WorkloadType::MultiThread,
-        2 => WorkloadType::Graphics,
-        3 => WorkloadType::BatteryLife,
-        _ => return None,
-    })
-}
-
-fn state_key(state: PackageCState) -> u8 {
-    match state {
-        PackageCState::C0Min => 0,
-        PackageCState::C2 => 2,
-        PackageCState::C3 => 3,
-        PackageCState::C6 => 6,
-        PackageCState::C7 => 7,
-        PackageCState::C8 => 8,
-    }
-}
-
-fn state_from_key(key: u8) -> Option<PackageCState> {
-    Some(match key {
-        0 => PackageCState::C0Min,
-        2 => PackageCState::C2,
-        3 => PackageCState::C3,
-        6 => PackageCState::C6,
-        7 => PackageCState::C7,
-        8 => PackageCState::C8,
-        _ => return None,
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pdn_proc::client_soc;
+    use pdn_proc::{client_soc, PackageCState};
     use pdn_units::{ApplicationRatio, Efficiency, Watts};
+    use pdn_workload::codec::crc32;
+    use pdn_workload::WorkloadType;
     use pdnspot::{IvrPdn, ModelParams};
 
     fn curve_set() -> EteeCurveSet {
@@ -319,14 +236,17 @@ mod tests {
         corrupted[mid] ^= 0x40;
         assert!(matches!(
             FirmwareImage::parse(&corrupted),
-            Err(FirmwareError::ChecksumMismatch { .. })
+            Err(FirmwareError::Frame(FrameError::ChecksumMismatch { .. }))
         ));
     }
 
     #[test]
     fn truncation_and_bad_magic_are_detected() {
         let image = FirmwareImage::build(&curve_set());
-        assert_eq!(FirmwareImage::parse(&image.as_bytes()[..8]), Err(FirmwareError::Truncated));
+        assert_eq!(
+            FirmwareImage::parse(&image.as_bytes()[..8]),
+            Err(FirmwareError::Frame(FrameError::Truncated))
+        );
         let mut bad = image.as_bytes().to_vec();
         bad[0] ^= 0xFF;
         // Flipping the magic also breaks the CRC; fix the CRC to isolate
@@ -334,7 +254,10 @@ mod tests {
         let len = bad.len();
         let crc = crc32(&bad[..len - 4]);
         bad[len - 4..].copy_from_slice(&crc.to_le_bytes());
-        assert!(matches!(FirmwareImage::parse(&bad), Err(FirmwareError::BadMagic(_))));
+        assert!(matches!(
+            FirmwareImage::parse(&bad),
+            Err(FirmwareError::Frame(FrameError::BadMagic(_)))
+        ));
     }
 
     #[test]

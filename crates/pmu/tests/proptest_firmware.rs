@@ -5,7 +5,7 @@
 
 use pdn_pmu::{EteeCurveSet, FirmwareError, FirmwareImage};
 use pdn_proc::client_soc;
-use pdn_workload::tracefile::crc32;
+use pdn_workload::codec::crc32;
 use pdnspot::{IvrPdn, ModelParams};
 use proptest::collection::vec;
 use proptest::prelude::*;

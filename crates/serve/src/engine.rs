@@ -17,12 +17,15 @@
 //! served-vs-library integration tests enforce this per request type.
 
 use crate::protocol::{
-    PdnId, PointSpec, RequestBody, ResponseBody, ServeError, ServerStats, TenantStats,
+    sweep_reply_len, PdnId, PointSpec, RequestBody, ResponseBody, ServeError, ServerStats,
+    TenantStats,
 };
 use crate::snapshot::{self, Snapshot, SnapshotError};
+use crate::wire::MAX_BODY;
 use flexwatts::{FlexWattsAuto, ModePredictor};
 use pdn_proc::client_soc;
 use pdn_units::{ApplicationRatio, Watts};
+use pdn_workload::codec::workload_tag;
 use pdn_workload::tracefile::Fnv1a;
 use pdn_workload::WorkloadType;
 use pdnspot::memo::MemoEntry;
@@ -77,7 +80,7 @@ pub fn poison_key(body: &RequestBody) -> u64 {
         RequestBody::Sample { pdn, workload, tdp, ar } => {
             h.write_u8(2);
             h.write_u8(pdn.to_wire());
-            h.write_u8(crate::protocol::workload_to_wire(*workload));
+            h.write_u8(workload_tag(*workload));
             h.write_u64(tdp.to_bits());
             h.write_u64(ar.to_bits());
         }
@@ -92,7 +95,7 @@ pub fn poison_key(body: &RequestBody) -> u64 {
             }
             h.write_u8(0xFF);
             for w in workloads {
-                h.write_u8(crate::protocol::workload_to_wire(*w));
+                h.write_u8(workload_tag(*w));
             }
             h.write_u8(0xFF);
             for &a in ars {
@@ -103,7 +106,7 @@ pub fn poison_key(body: &RequestBody) -> u64 {
             h.write_u8(4);
             h.write_u8(a.to_wire());
             h.write_u8(b.to_wire());
-            h.write_u8(crate::protocol::workload_to_wire(*workload));
+            h.write_u8(workload_tag(*workload));
             h.write_u64(ar.to_bits());
             h.write_u64(range.0.to_bits());
             h.write_u64(range.1.to_bits());
@@ -454,6 +457,16 @@ impl ServeEngine {
         workloads: &[WorkloadType],
         ars: &[f64],
     ) -> ResponseBody {
+        // Duplicate ids and workload types pass the request bounds, so a
+        // legal request can ask for more surfaces than one frame holds.
+        let names = pdns.iter().map(|id| self.pdn(*id).kind().to_string().len());
+        let reply_len = sweep_reply_len(names, workloads.len(), tdps.len(), ars.len());
+        if reply_len > MAX_BODY {
+            return ResponseBody::Error(ServeError::new(
+                ErrorCode::Unsupported,
+                format!("sweep reply of {reply_len} bytes exceeds one frame; split the sweep"),
+            ));
+        }
         let tenant = self.tenant(tenant);
         let refs: Vec<&dyn Pdn> = pdns.iter().map(|id| self.pdn(*id)).collect();
         let result = SweepGrid::active(tdps, workloads, ars).and_then(|grid| {

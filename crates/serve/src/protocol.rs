@@ -13,6 +13,7 @@
 use crate::wire::{BodyReader, BodyWriter, DecodeError, MAX_LIST};
 use pdn_proc::PackageCState;
 use pdn_units::{Amps, Efficiency, Volts, Watts};
+use pdn_workload::codec::{cstate_from_tag, cstate_tag, workload_from_tag, workload_tag};
 use pdn_workload::WorkloadType;
 use pdnspot::sweep::{Crossover, EteeSurface};
 use pdnspot::{ErrorCode, LossBreakdown, PdnError, PdnEvaluation, RailReport};
@@ -107,48 +108,6 @@ impl fmt::Display for PdnId {
     }
 }
 
-pub(crate) fn workload_to_wire(wl: WorkloadType) -> u8 {
-    match wl {
-        WorkloadType::SingleThread => 0,
-        WorkloadType::MultiThread => 1,
-        WorkloadType::Graphics => 2,
-        WorkloadType::BatteryLife => 3,
-    }
-}
-
-fn workload_from_wire(tag: u8) -> Result<WorkloadType, DecodeError> {
-    match tag {
-        0 => Ok(WorkloadType::SingleThread),
-        1 => Ok(WorkloadType::MultiThread),
-        2 => Ok(WorkloadType::Graphics),
-        3 => Ok(WorkloadType::BatteryLife),
-        tag => Err(DecodeError::BadTag { what: "workload type", tag }),
-    }
-}
-
-fn cstate_to_wire(state: PackageCState) -> u8 {
-    match state {
-        PackageCState::C0Min => 0,
-        PackageCState::C2 => 2,
-        PackageCState::C3 => 3,
-        PackageCState::C6 => 6,
-        PackageCState::C7 => 7,
-        PackageCState::C8 => 8,
-    }
-}
-
-fn cstate_from_wire(tag: u8) -> Result<PackageCState, DecodeError> {
-    match tag {
-        0 => Ok(PackageCState::C0Min),
-        2 => Ok(PackageCState::C2),
-        3 => Ok(PackageCState::C3),
-        6 => Ok(PackageCState::C6),
-        7 => Ok(PackageCState::C7),
-        8 => Ok(PackageCState::C8),
-        tag => Err(DecodeError::BadTag { what: "package C-state", tag }),
-    }
-}
-
 /// One operating point of an [`RequestBody::Eval`] query.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum PointSpec {
@@ -177,9 +136,9 @@ impl PointSpec {
     pub fn key(&self) -> (u8, u64, u8, u64) {
         match *self {
             PointSpec::Active { tdp, workload, ar } => {
-                (0, tdp.to_bits(), workload_to_wire(workload), ar.to_bits())
+                (0, tdp.to_bits(), workload_tag(workload), ar.to_bits())
             }
-            PointSpec::Idle { tdp, state } => (1, tdp.to_bits(), cstate_to_wire(state), 0),
+            PointSpec::Idle { tdp, state } => (1, tdp.to_bits(), cstate_tag(state), 0),
         }
     }
 
@@ -188,13 +147,13 @@ impl PointSpec {
             PointSpec::Active { tdp, workload, ar } => {
                 w.u8(0);
                 w.f64(tdp);
-                w.u8(workload_to_wire(workload));
+                w.u8(workload_tag(workload));
                 w.f64(ar);
             }
             PointSpec::Idle { tdp, state } => {
                 w.u8(1);
                 w.f64(tdp);
-                w.u8(cstate_to_wire(state));
+                w.u8(cstate_tag(state));
             }
         }
     }
@@ -203,10 +162,13 @@ impl PointSpec {
         match r.u8()? {
             0 => Ok(PointSpec::Active {
                 tdp: r.f64()?,
-                workload: workload_from_wire(r.u8()?)?,
+                workload: r.tag("workload type", workload_from_tag)?,
                 ar: r.f64()?,
             }),
-            1 => Ok(PointSpec::Idle { tdp: r.f64()?, state: cstate_from_wire(r.u8()?)? }),
+            1 => Ok(PointSpec::Idle {
+                tdp: r.f64()?,
+                state: r.tag("package C-state", cstate_from_tag)?,
+            }),
             tag => Err(DecodeError::BadTag { what: "point spec", tag }),
         }
     }
@@ -339,7 +301,7 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
         }
         RequestBody::Sample { pdn, workload, tdp, ar } => {
             w.u8(pdn.to_wire());
-            w.u8(workload_to_wire(*workload));
+            w.u8(workload_tag(*workload));
             w.f64(*tdp);
             w.f64(*ar);
         }
@@ -351,14 +313,14 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
             encode_f64_axis(&mut w, tdps);
             w.u32(u32::try_from(workloads.len()).unwrap_or(u32::MAX));
             for wl in workloads {
-                w.u8(workload_to_wire(*wl));
+                w.u8(workload_tag(*wl));
             }
             encode_f64_axis(&mut w, ars);
         }
         RequestBody::Crossover { a, b, workload, ar, range } => {
             w.u8(a.to_wire());
             w.u8(b.to_wire());
-            w.u8(workload_to_wire(*workload));
+            w.u8(workload_tag(*workload));
             w.f64(*ar);
             w.f64(range.0);
             w.f64(range.1);
@@ -387,7 +349,7 @@ pub fn decode_request(body: &[u8]) -> Result<Request, DecodeError> {
         }
         2 => RequestBody::Sample {
             pdn: PdnId::from_wire(r.u8()?)?,
-            workload: workload_from_wire(r.u8()?)?,
+            workload: r.tag("workload type", workload_from_tag)?,
             tdp: r.f64()?,
             ar: r.f64()?,
         },
@@ -401,7 +363,7 @@ pub fn decode_request(body: &[u8]) -> Result<Request, DecodeError> {
             let n_wls = r.list_len("sweep workloads", 8)?;
             let mut workloads = Vec::with_capacity(n_wls);
             for _ in 0..n_wls {
-                workloads.push(workload_from_wire(r.u8()?)?);
+                workloads.push(r.tag("workload type", workload_from_tag)?);
             }
             let ars = decode_f64_axis(&mut r, "sweep ars", MAX_AXIS)?;
             RequestBody::Sweep { pdns, tdps, workloads, ars }
@@ -409,7 +371,7 @@ pub fn decode_request(body: &[u8]) -> Result<Request, DecodeError> {
         4 => RequestBody::Crossover {
             a: PdnId::from_wire(r.u8()?)?,
             b: PdnId::from_wire(r.u8()?)?,
-            workload: workload_from_wire(r.u8()?)?,
+            workload: r.tag("workload type", workload_from_tag)?,
             ar: r.f64()?,
             range: (r.f64()?, r.f64()?),
         },
@@ -588,7 +550,7 @@ pub fn decode_evaluation(r: &mut BodyReader<'_>) -> Result<PdnEvaluation, Decode
 
 fn encode_surface(w: &mut BodyWriter, s: &EteeSurface) {
     w.str(&s.pdn);
-    w.u8(workload_to_wire(s.workload_type));
+    w.u8(workload_tag(s.workload_type));
     encode_f64_axis(w, &s.tdps);
     encode_f64_axis(w, &s.ars);
     encode_f64_axis(w, &s.values);
@@ -597,11 +559,31 @@ fn encode_surface(w: &mut BodyWriter, s: &EteeSurface) {
 fn decode_surface(r: &mut BodyReader<'_>) -> Result<EteeSurface, DecodeError> {
     Ok(EteeSurface {
         pdn: r.str("surface pdn")?,
-        workload_type: workload_from_wire(r.u8()?)?,
+        workload_type: r.tag("workload type", workload_from_tag)?,
         tdps: decode_f64_axis(r, "surface tdps", MAX_AXIS)?,
         ars: decode_f64_axis(r, "surface ars", MAX_AXIS)?,
         values: decode_f64_axis(r, "surface values", MAX_LIST)?,
     })
+}
+
+/// Encoded size of a [`ResponseBody::Sweep`] body holding one surface
+/// per (PDN, workload type), where `pdn_names` yields each PDN's
+/// surface-name length and every surface spans `tdps` × `ars` points.
+/// Lets the engine refuse a sweep whose reply no frame could carry
+/// before it evaluates anything.
+#[must_use]
+pub fn sweep_reply_len(
+    pdn_names: impl IntoIterator<Item = usize>,
+    workloads: usize,
+    tdps: usize,
+    ars: usize,
+) -> usize {
+    // version u16, id u64, kind u8, surface count u32.
+    let head = 2 + 8 + 1 + 4;
+    // Per surface after its name: workload u8 and three f64 lists, each
+    // with a u32 length prefix.
+    let lattice = 1 + 3 * 4 + 8 * (tdps + ars + tdps * ars);
+    head + pdn_names.into_iter().map(|name| workloads * (4 + name + lattice)).sum::<usize>()
 }
 
 /// Encodes a response into a frame body.

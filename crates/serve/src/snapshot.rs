@@ -1,12 +1,11 @@
 //! Warm-state persistence: memo shards and trained predictor firmware
 //! on disk, so a restarted daemon serves hot.
 //!
-//! File layout (all little-endian, CRC-32 trailer over everything
-//! before it — the firmware-image idiom):
+//! A snapshot file is a sealed record ([`pdn_workload::codec`];
+//! DESIGN.md, "Framed records") with magic `PDNW` and version 1. Its
+//! body (little-endian):
 //!
 //! ```text
-//! magic    u32   "PDNW"
-//! version  u16
 //! reserved u16
 //! ivr firmware    u32 len + bytes   (PMU firmware image)
 //! ldo firmware    u32 len + bytes
@@ -14,7 +13,6 @@
 //! per tenant:     id u32, entry count u32,
 //!                 entries: pdn_token u64, scenario_fingerprint u64,
 //!                          PdnEvaluation (protocol codec)
-//! crc32    u32
 //! ```
 //!
 //! Decoding untrusted bytes never panics; every defect is a typed
@@ -23,8 +21,7 @@
 //! under another.
 
 use crate::protocol::{decode_evaluation, encode_evaluation};
-use crate::wire::{BodyReader, BodyWriter, DecodeError};
-use pdn_workload::tracefile::crc32;
+use pdn_workload::codec::{self, BodyWriter, DecodeError, FrameError};
 use pdnspot::memo::MemoEntry;
 use std::ffi::OsString;
 use std::fmt;
@@ -66,17 +63,9 @@ impl Snapshot {
 /// Why a snapshot could not be read or decoded.
 #[derive(Debug)]
 pub enum SnapshotError {
-    /// The bytes are not a snapshot (wrong magic).
-    BadMagic(u32),
-    /// A format revision this build does not understand.
-    BadVersion(u16),
-    /// The CRC-32 trailer does not match the content.
-    ChecksumMismatch {
-        /// CRC carried by the trailer.
-        expected: u32,
-        /// CRC computed over the content.
-        found: u32,
-    },
+    /// The record framing is damaged: truncated, wrong magic, CRC
+    /// mismatch, or an unsupported version.
+    Frame(FrameError),
     /// A malformed interior field.
     Decode(DecodeError),
     /// An I/O failure reading or writing the file.
@@ -86,12 +75,7 @@ pub enum SnapshotError {
 impl fmt::Display for SnapshotError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SnapshotError::BadMagic(m) => write!(f, "bad snapshot magic {m:#010x}"),
-            SnapshotError::BadVersion(v) => write!(f, "unsupported snapshot version {v}"),
-            SnapshotError::ChecksumMismatch { expected, found } => write!(
-                f,
-                "snapshot checksum mismatch: trailer {expected:#010x}, content {found:#010x}"
-            ),
+            SnapshotError::Frame(e) => write!(f, "snapshot record: {e}"),
             SnapshotError::Decode(e) => write!(f, "malformed snapshot: {e}"),
             SnapshotError::Io(e) => write!(f, "snapshot i/o: {e}"),
         }
@@ -101,9 +85,9 @@ impl fmt::Display for SnapshotError {
 impl std::error::Error for SnapshotError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
+            SnapshotError::Frame(e) => Some(e),
             SnapshotError::Decode(e) => Some(e),
             SnapshotError::Io(e) => Some(e),
-            _ => None,
         }
     }
 }
@@ -123,10 +107,8 @@ impl From<io::Error> for SnapshotError {
 /// Serialises a snapshot, CRC trailer included.
 #[must_use]
 pub fn encode(snap: &Snapshot) -> Vec<u8> {
-    let mut w = BodyWriter::new();
-    w.u32(MAGIC);
-    w.u16(VERSION);
-    w.u16(0);
+    let mut w = BodyWriter::sealed(MAGIC, VERSION);
+    w.u16(0); // reserved
     w.bytes(&snap.ivr_firmware);
     w.bytes(&snap.ldo_firmware);
     w.u32(u32::try_from(snap.tenants.len()).unwrap_or(u32::MAX));
@@ -139,10 +121,7 @@ pub fn encode(snap: &Snapshot) -> Vec<u8> {
             encode_evaluation(&mut w, &entry.value);
         }
     }
-    let mut bytes = w.into_bytes();
-    let crc = crc32(&bytes);
-    bytes.extend_from_slice(&crc.to_le_bytes());
-    bytes
+    w.seal()
 }
 
 /// Decodes a snapshot from raw bytes. Never panics.
@@ -151,24 +130,7 @@ pub fn encode(snap: &Snapshot) -> Vec<u8> {
 ///
 /// Returns a [`SnapshotError`] describing the first defect found.
 pub fn decode(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
-    if bytes.len() < 4 + 4 {
-        return Err(SnapshotError::Decode(DecodeError::Truncated));
-    }
-    let (content, trailer) = bytes.split_at(bytes.len() - 4);
-    let expected = u32::from_le_bytes([trailer[0], trailer[1], trailer[2], trailer[3]]);
-    let found = crc32(content);
-    if expected != found {
-        return Err(SnapshotError::ChecksumMismatch { expected, found });
-    }
-    let mut r = BodyReader::new(content);
-    let magic = r.u32()?;
-    if magic != MAGIC {
-        return Err(SnapshotError::BadMagic(magic));
-    }
-    let version = r.u16()?;
-    if version != VERSION {
-        return Err(SnapshotError::BadVersion(version));
-    }
+    let mut r = codec::open_sealed(bytes, MAGIC, VERSION).map_err(SnapshotError::Frame)?;
     let _reserved = r.u16()?;
     let ivr_firmware = r.bytes("ivr firmware", MAX_FIRMWARE)?;
     let ldo_firmware = r.bytes("ldo firmware", MAX_FIRMWARE)?;
@@ -345,7 +307,10 @@ mod tests {
         }
         let mut flipped = bytes.clone();
         flipped[6] ^= 0x10;
-        assert!(matches!(decode(&flipped), Err(SnapshotError::ChecksumMismatch { .. })));
+        assert!(matches!(
+            decode(&flipped),
+            Err(SnapshotError::Frame(FrameError::ChecksumMismatch { .. }))
+        ));
         let mut bad_magic = bytes;
         bad_magic[0] ^= 0xFF;
         // The CRC guards the magic too, so corruption surfaces either way.

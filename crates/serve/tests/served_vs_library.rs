@@ -7,8 +7,11 @@
 use flexwatts::scratch::unique_scratch_dir;
 use flexwatts::FlexWattsAuto;
 use pdn_serve::engine::{ServeEngine, SERVE_ARS, SERVE_TDPS};
-use pdn_serve::protocol::{PdnId, PointSpec, Request, RequestBody, Response, ResponseBody};
-use pdn_serve::server::{spawn_tcp, Client};
+use pdn_serve::protocol::{
+    decode_response, encode_request, encode_response, sweep_reply_len, PdnId, PointSpec, Request,
+    RequestBody, Response, ResponseBody,
+};
+use pdn_serve::server::{serve_streams, spawn_tcp, Client};
 use pdn_serve::{snapshot, wire};
 use pdn_units::ApplicationRatio;
 use pdn_workload::WorkloadType;
@@ -189,6 +192,76 @@ fn served_sweep_is_bit_identical_to_library_sweep() {
     for (s, d) in served.iter().zip(&direct) {
         assert_surface_bits(s, d);
     }
+}
+
+/// `n_pdns` PDN ids (cycling, so duplicated) × 8 workload types × 64
+/// TDPs × 64 ARs: every list but the PDN ids at its request bound.
+fn wide_sweep(n_pdns: usize) -> RequestBody {
+    let active = WorkloadType::ACTIVE_TYPES;
+    RequestBody::Sweep {
+        pdns: (0..n_pdns).map(|i| PdnId::ALL[i % PdnId::ALL.len()]).collect(),
+        tdps: (0..64).map(|i| 4.0 + 0.7 * f64::from(i)).collect(),
+        workloads: (0..8).map(|i| active[i % active.len()]).collect(),
+        ars: (0..64).map(|i| 0.2 + 0.0125 * f64::from(i)).collect(),
+    }
+}
+
+/// The widest legal sweep (16 PDN ids) would need a reply no frame can
+/// carry: it is refused with a typed terminal error before anything is
+/// evaluated, and the stream goes on serving.
+#[test]
+fn oversized_sweep_reply_is_refused_and_the_stream_stays_open() {
+    let engine = Arc::new(ServeEngine::new(config()).expect("engine boots"));
+    let mut input = Vec::new();
+    for (id, body) in [(1, wide_sweep(16)), (2, RequestBody::Ping)] {
+        let request = Request { tenant: 0, id, deadline_ms: 0, body };
+        input.extend(wire::encode_frame(&encode_request(&request)));
+    }
+    let mut output = Vec::new();
+    serve_streams(&engine, &mut &input[..], &mut output).expect("stream served");
+
+    let mut replies = &output[..];
+    let mut next = || {
+        let body = wire::read_frame(&mut replies).expect("frame ok").expect("reply arrives");
+        decode_response(&body).expect("decodes")
+    };
+    match next().body {
+        ResponseBody::Error(e) => {
+            assert_eq!(e.code, ErrorCode::Unsupported);
+            assert!(!e.code.is_retryable());
+            assert_eq!(e.retry_after_ms, None);
+        }
+        other => panic!("expected Error, got {other:?}"),
+    }
+    assert_eq!(next().body, ResponseBody::Pong, "the stream keeps serving");
+    match engine.handle(0, &RequestBody::Stats) {
+        ResponseBody::Stats { tenant, .. } => {
+            assert_eq!(tenant.misses + tenant.hits, 0, "nothing was evaluated");
+        }
+        other => panic!("expected Stats, got {other:?}"),
+    }
+}
+
+/// The widest sweep whose reply fits (15 PDN ids) round-trips through
+/// one frame, and the engine's size bound is the exact encoded size.
+#[test]
+fn sweep_at_the_reply_bound_round_trips_through_one_frame() {
+    let engine = ServeEngine::new(config()).expect("engine boots");
+    let request = wide_sweep(15);
+    let response = Response { id: 7, body: engine.handle(0, &request) };
+    let RequestBody::Sweep { pdns, tdps, workloads, ars } = &request else { unreachable!() };
+    match &response.body {
+        ResponseBody::Sweep(surfaces) => assert_eq!(surfaces.len(), pdns.len() * workloads.len()),
+        other => panic!("expected Sweep, got {other:?}"),
+    }
+    let body = encode_response(&response);
+    let names = pdns.iter().map(|id| engine.pdn(*id).kind().to_string().len());
+    assert_eq!(body.len(), sweep_reply_len(names, workloads.len(), tdps.len(), ars.len()));
+    assert!(body.len() <= wire::MAX_BODY);
+    let frame = wire::encode_frame(&body);
+    let (decoded, used) = wire::decode_frame(&frame).expect("fits one frame");
+    assert_eq!(used, frame.len());
+    assert_eq!(decode_response(decoded).expect("decodes"), response);
 }
 
 /// A served Crossover returns exactly the library's verdict, including

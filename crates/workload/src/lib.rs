@@ -19,9 +19,12 @@
 //! * [`synthetic`] — seeded random trace generation and power-virus traces.
 //! * [`zoo`] — deterministic realistic trace scenarios (server bursts,
 //!   frame-locked gaming, ML inference, thermally-throttled mobile).
+//! * [`codec`] — the framed-record codec behind every persisted or
+//!   transmitted format: CRC-32, the body cursor, sealed records and
+//!   length-prefixed frames.
 //! * [`tracefile`] — the crash-tolerant chunked binary trace-file format
-//!   and its bounded-memory streaming reader, plus the shared CRC-32 and
-//!   FNV-1a hashes.
+//!   and its bounded-memory streaming reader, plus the shared FNV-1a
+//!   hash.
 //! * [`durable`] — the crash-safe whole-file write behind replay
 //!   checkpoints and serve snapshots.
 //!
@@ -40,6 +43,7 @@
 #![warn(missing_debug_implementations)]
 
 pub mod batterylife;
+pub mod codec;
 pub mod durable;
 pub mod graphics;
 pub mod mixes;

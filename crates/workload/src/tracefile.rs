@@ -13,18 +13,21 @@
 //! accounts the skipped intervals; under [`DefectPolicy::Strict`] the
 //! first defect is fatal.
 //!
-//! ## On-disk layout (all integers little-endian)
+//! ## On-disk layout
+//!
+//! The header is a sealed record and chunks and the footer are
+//! length-prefixed frames ([`crate::codec`]; DESIGN.md, "Framed
+//! records"). Their bodies (all integers little-endian):
 //!
 //! ```text
-//! header  := "PDNT" u16 version  u16 flags  u32 chunk_capacity
-//!            u32 name_len  name_bytes  u32 crc32(header bytes so far)
-//! chunk   := "CHNK" u32 payload_len  payload  u32 crc32(payload)
-//! payload := u64 first_index  u32 count
+//! header  (sealed "PDNT", version 1) := u16 flags  u32 chunk_capacity
+//!                                       u32 name_len  name_bytes
+//! chunk   (frame "CHNK")             := u64 first_index  u32 count
 //!            u64 duration_bits × count   (f64 bit patterns, SoA)
 //!            u8  phase_tag     × count
 //!            u64 ar_bits       × count   (f64 bit patterns)
-//! footer  := "TEND" u32 payload_len(16)
-//!            u64 total_intervals  u64 total_duration_bits  u32 crc32
+//! footer  (frame "TEND", 16 bytes)   := u64 total_intervals
+//!                                       u64 total_duration_bits
 //! ```
 //!
 //! Durations and application ratios are stored as raw `f64` bit
@@ -35,7 +38,8 @@
 //! quarantined a frame can tell exactly how many intervals went missing
 //! ([`ChunkDefect::IndexGap`]).
 
-use crate::trace::{Phase, Trace, TraceInterval, WorkloadType};
+use crate::codec::{self, BodyReader, BodyWriter, FrameError};
+use crate::trace::{Phase, Trace, TraceInterval};
 use pdn_proc::PackageCState;
 use pdn_units::{ApplicationRatio, Seconds, UnitsError};
 use std::fmt;
@@ -62,32 +66,19 @@ pub const DEFAULT_CHUNK_INTERVALS: usize = 4096;
 pub const MAX_CHUNK_INTERVALS: usize = 1 << 16;
 /// Longest permitted trace name in the header.
 pub const MAX_NAME: usize = 4096;
+const _: () = assert!(MAX_NAME <= codec::MAX_STR, "header names are read as codec strings");
 
 /// Fixed payload prefix: `first_index` (u64) + `count` (u32).
 const CHUNK_PREFIX: usize = 12;
 /// Largest payload length a well-formed chunk can declare.
 const MAX_PAYLOAD: usize = CHUNK_PREFIX + MAX_CHUNK_INTERVALS * BYTES_PER_INTERVAL;
-/// Frame prefix: magic (u32) + payload length (u32).
-const FRAME_PREFIX: usize = 8;
 /// Footer payload: total_intervals (u64) + total_duration_bits (u64).
 const FOOTER_PAYLOAD: usize = 16;
+/// Header bytes before the name: magic, version, flags, chunk capacity,
+/// name length.
+const HEADER_FIXED: usize = 16;
 /// Read granularity for the streaming reader.
 const READ_CHUNK: usize = 64 * 1024;
-
-/// CRC-32 (IEEE 802.3, reflected) — the one checksum of every framed
-/// format: `.pdnt` frames, replay checkpoints, PMU firmware images, and
-/// `pdn-serve` wire frames and snapshots.
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc = !0u32;
-    for &byte in data {
-        crc ^= u32::from(byte);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
-}
 
 /// Streaming 64-bit FNV-1a hasher: trace-header and replay fingerprints,
 /// PDNspot memo keys, and `pdn-serve` poison keys.
@@ -474,56 +465,15 @@ fn cstate_tag(state: PackageCState) -> u8 {
     }
 }
 
-fn workload_tag(wl: WorkloadType) -> u8 {
-    match wl {
-        WorkloadType::SingleThread => 0,
-        WorkloadType::MultiThread => 1,
-        WorkloadType::Graphics => 2,
-        WorkloadType::BatteryLife => 3,
-    }
-}
-
 fn phase_tag(phase: Phase) -> u8 {
     match phase {
         Phase::Idle(state) => cstate_tag(state),
-        Phase::Active { workload_type, .. } => TAG_ACTIVE | workload_tag(workload_type),
+        Phase::Active { workload_type, .. } => TAG_ACTIVE | codec::workload_tag(workload_type),
     }
 }
 
 fn decode_cstate(tag: u8) -> Option<PackageCState> {
     PackageCState::ALL.get(usize::from(tag)).copied()
-}
-
-fn decode_workload(tag: u8) -> Option<WorkloadType> {
-    match tag {
-        0 => Some(WorkloadType::SingleThread),
-        1 => Some(WorkloadType::MultiThread),
-        2 => Some(WorkloadType::Graphics),
-        3 => Some(WorkloadType::BatteryLife),
-        _ => None,
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Little-endian helpers (no serde: the vendored crate is a no-op stub)
-// ---------------------------------------------------------------------------
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn get_u32(bytes: &[u8], at: usize) -> Option<u32> {
-    bytes.get(at..at + 4).map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-}
-
-fn get_u64(bytes: &[u8], at: usize) -> Option<u64> {
-    bytes
-        .get(at..at + 8)
-        .map(|b| u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
 }
 
 // ---------------------------------------------------------------------------
@@ -639,52 +589,76 @@ impl<W: Write> TraceFileWriter<W> {
 }
 
 fn encode_header(name: &str, chunk_capacity: u32) -> Vec<u8> {
-    let mut out = Vec::with_capacity(20 + name.len());
-    put_u32(&mut out, FILE_MAGIC);
-    out.extend_from_slice(&VERSION.to_le_bytes());
-    out.extend_from_slice(&0u16.to_le_bytes()); // flags, reserved
-    put_u32(&mut out, chunk_capacity);
-    put_u32(&mut out, name.len() as u32);
-    out.extend_from_slice(name.as_bytes());
-    let crc = crc32(&out);
-    put_u32(&mut out, crc);
-    out
+    let mut w = BodyWriter::sealed(FILE_MAGIC, VERSION);
+    w.u16(0); // flags, reserved
+    w.u32(chunk_capacity);
+    w.str(name);
+    w.seal()
 }
 
 fn encode_chunk(first_index: u64, intervals: &[TraceInterval]) -> Vec<u8> {
-    let count = intervals.len();
-    let mut payload = Vec::with_capacity(CHUNK_PREFIX + count * BYTES_PER_INTERVAL);
-    put_u64(&mut payload, first_index);
-    put_u32(&mut payload, count as u32);
+    let mut w = BodyWriter::new();
+    w.reserve(CHUNK_PREFIX + intervals.len() * BYTES_PER_INTERVAL);
+    w.u64(first_index);
+    w.u32(intervals.len() as u32);
     for i in intervals {
-        put_u64(&mut payload, i.duration.get().to_bits());
+        w.f64(i.duration.get());
     }
     for i in intervals {
-        payload.push(phase_tag(i.phase));
+        w.u8(phase_tag(i.phase));
     }
     for i in intervals {
-        put_u64(&mut payload, i.phase.ar().get().to_bits());
+        w.f64(i.phase.ar().get());
     }
-    let mut frame = Vec::with_capacity(FRAME_PREFIX + payload.len() + 4);
-    put_u32(&mut frame, CHUNK_MAGIC);
-    put_u32(&mut frame, payload.len() as u32);
-    let crc = crc32(&payload);
-    frame.extend_from_slice(&payload);
-    put_u32(&mut frame, crc);
-    frame
+    codec::encode_frame(CHUNK_MAGIC, &w.into_bytes())
 }
 
 fn encode_footer(total_intervals: u64, total_duration: f64) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(FOOTER_PAYLOAD);
-    put_u64(&mut payload, total_intervals);
-    put_u64(&mut payload, total_duration.to_bits());
-    let mut frame = Vec::with_capacity(FRAME_PREFIX + FOOTER_PAYLOAD + 4);
-    put_u32(&mut frame, FOOTER_MAGIC);
-    put_u32(&mut frame, payload.len() as u32);
-    let crc = crc32(&payload);
-    frame.extend_from_slice(&payload);
-    put_u32(&mut frame, crc);
-    frame
+    let mut w = BodyWriter::new();
+    w.u64(total_intervals);
+    w.f64(total_duration);
+    codec::encode_frame(FOOTER_MAGIC, &w.into_bytes())
+}
+
+/// Payload bounds of the two frame kinds; every other magic is foreign.
+fn frame_bound(magic: u32) -> Option<usize> {
+    match magic {
+        CHUNK_MAGIC => Some(MAX_PAYLOAD),
+        FOOTER_MAGIC => Some(FOOTER_PAYLOAD),
+        _ => None,
+    }
+}
+
+/// Total header length declared by its fixed prefix (which must hold
+/// [`HEADER_FIXED`] bytes), with the name length checked against
+/// [`MAX_NAME`].
+fn header_len(fixed: &[u8]) -> Result<usize, FrameError> {
+    let mut r = BodyReader::new(fixed.get(12..HEADER_FIXED).unwrap_or_default());
+    let name_len = r.u32().map_err(|_| FrameError::Truncated)? as usize;
+    if name_len > MAX_NAME {
+        return Err(FrameError::Oversized(name_len));
+    }
+    Ok(HEADER_FIXED + name_len + 4)
+}
+
+impl ChunkDefect {
+    /// The defect a frame-level [`FrameError`] at byte `at` is counted as.
+    fn from_frame(at: u64, e: FrameError) -> Self {
+        match e {
+            FrameError::Truncated => ChunkDefect::Truncated { at },
+            FrameError::BadMagic(found) => ChunkDefect::BadMagic { at, found },
+            FrameError::Oversized(declared) => {
+                ChunkDefect::Oversized { at, declared: declared as u64 }
+            }
+            FrameError::ChecksumMismatch { expected, found } => {
+                ChunkDefect::ChecksumMismatch { at, expected, found }
+            }
+            // Frames carry no version and are checked in memory.
+            FrameError::Version(_) | FrameError::Io(_) => {
+                ChunkDefect::Malformed { at, what: "frame" }
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -914,10 +888,6 @@ impl<R: Read> TraceReader<R> {
         Ok(())
     }
 
-    fn available(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
     /// Drops the consumed prefix so the window stays bounded.
     fn compact(&mut self) {
         if self.pos >= READ_CHUNK {
@@ -932,60 +902,34 @@ impl<R: Read> TraceReader<R> {
     }
 
     fn read_header(&mut self) -> Result<(), TraceFileError> {
-        // Fixed prefix: magic + version + flags + chunk_capacity + name_len.
-        self.fill(16)?;
-        let head = &self.buf[self.pos..];
-        if head.len() < 16 {
-            return Err(TraceFileError::Header(ChunkDefect::Truncated { at: 0 }));
-        }
-        let magic = get_u32(head, 0).unwrap_or(0);
-        if magic != FILE_MAGIC {
-            return Err(TraceFileError::Header(ChunkDefect::BadMagic { at: 0, found: magic }));
-        }
-        let name_len = get_u32(head, 12).unwrap_or(0) as usize;
-        if name_len > MAX_NAME {
-            return Err(TraceFileError::Header(ChunkDefect::Oversized {
-                at: 0,
-                declared: name_len as u64,
-            }));
-        }
-        let total = 16 + name_len + 4;
+        let damaged = |e| TraceFileError::Header(ChunkDefect::from_frame(0, e));
+        // Length and magic on the fixed prefix, then the name-length
+        // bound; CRC and version once the whole record is buffered.
+        self.fill(HEADER_FIXED)?;
+        let fixed = &self.buf[self.pos..];
+        codec::check_magic(fixed, HEADER_FIXED, FILE_MAGIC).map_err(damaged)?;
+        let total = header_len(fixed).map_err(damaged)?;
         self.fill(total)?;
-        if self.available() < total {
-            return Err(TraceFileError::Header(ChunkDefect::Truncated { at: 0 }));
-        }
-        let head = &self.buf[self.pos..self.pos + total];
-        let body = &head[..16 + name_len];
-        let declared_crc = get_u32(head, 16 + name_len).unwrap_or(0);
-        let actual_crc = crc32(body);
-        if declared_crc != actual_crc {
-            return Err(TraceFileError::Header(ChunkDefect::ChecksumMismatch {
-                at: 0,
-                expected: declared_crc,
-                found: actual_crc,
-            }));
-        }
-        let version = u16::from_le_bytes([head[4], head[5]]);
-        if version != VERSION {
-            return Err(TraceFileError::Unsupported { version });
-        }
-        let flags = u16::from_le_bytes([head[6], head[7]]);
-        let chunk_capacity = get_u32(head, 8).unwrap_or(0);
-        let name = match std::str::from_utf8(&head[16..16 + name_len]) {
-            Ok(s) => s.to_string(),
-            Err(_) => {
-                return Err(TraceFileError::Header(ChunkDefect::Malformed {
-                    at: 0,
-                    what: "header name is not UTF-8",
-                }))
-            }
+        let Some(record) = self.buf.get(self.pos..self.pos + total) else {
+            return Err(damaged(FrameError::Truncated));
+        };
+        let mut r = codec::open_sealed(record, FILE_MAGIC, VERSION).map_err(|e| match e {
+            FrameError::Version(version) => TraceFileError::Unsupported { version },
+            e => damaged(e),
+        })?;
+        // The record's length was computed from these fields, so only
+        // the name's encoding can still be wrong.
+        let (Ok(flags), Ok(chunk_capacity), Ok(name)) = (r.u16(), r.u32(), r.str("trace name"))
+        else {
+            let what = "header name is not UTF-8";
+            return Err(TraceFileError::Header(ChunkDefect::Malformed { at: 0, what }));
         };
         self.header = TraceFileHeader {
-            version,
+            version: VERSION,
             flags,
             chunk_capacity,
             name,
-            fingerprint: Fnv1a::hash(head),
+            fingerprint: Fnv1a::hash(record),
         };
         self.pos += total;
         Ok(())
@@ -1004,7 +948,7 @@ impl<R: Read> TraceReader<R> {
                 self.pos = self.buf.len();
                 return Ok(());
             }
-            if let Some(found) = window.windows(4).position(|w| w == b"CHNK" || w == b"TEND") {
+            if let Some(found) = codec::find_magic(window, frame_bound) {
                 self.pos += found;
                 return Ok(());
             }
@@ -1017,6 +961,18 @@ impl<R: Read> TraceReader<R> {
         }
     }
 
+    /// Accounts a stream that ends inside the frame at `at`: nothing
+    /// after it can be read.
+    fn truncated_tail(&mut self, at: u64) -> Result<(), TraceFileError> {
+        self.pos = self.buf.len();
+        self.done = true;
+        self.defect(ChunkDefect::Truncated { at })?;
+        if !self.footer_seen {
+            self.defect(ChunkDefect::MissingFooter)?;
+        }
+        Ok(())
+    }
+
     /// Reads and decodes the next frame, refilling `self.current` on a
     /// good chunk. Sets `self.done` at end of stream.
     fn read_next_chunk(&mut self) -> Result<(), TraceFileError> {
@@ -1027,84 +983,58 @@ impl<R: Read> TraceReader<R> {
                 return Ok(());
             }
             self.compact();
-            self.fill(FRAME_PREFIX)?;
-            let avail = self.available();
-            if avail == 0 {
+            self.fill(codec::FRAME_HEAD)?;
+            if self.pos == self.buf.len() {
                 self.done = true;
-                if !self.footer_seen {
-                    self.defect(ChunkDefect::MissingFooter)?;
-                }
-                return Ok(());
-            }
-            if avail < FRAME_PREFIX {
-                let at = self.offset();
-                self.pos = self.buf.len();
-                self.done = true;
-                self.defect(ChunkDefect::Truncated { at })?;
                 if !self.footer_seen {
                     self.defect(ChunkDefect::MissingFooter)?;
                 }
                 return Ok(());
             }
             let at = self.offset();
-            let magic = get_u32(&self.buf, self.pos).unwrap_or(0);
-            let declared_len = get_u32(&self.buf, self.pos + 4).unwrap_or(0) as usize;
-            if magic != CHUNK_MAGIC && magic != FOOTER_MAGIC {
-                self.defect(ChunkDefect::BadMagic { at, found: magic })?;
-                self.resync()?;
-                continue;
-            }
-            let len_bound = if magic == FOOTER_MAGIC { FOOTER_PAYLOAD } else { MAX_PAYLOAD };
-            if declared_len > len_bound {
-                self.defect(ChunkDefect::Oversized { at, declared: declared_len as u64 })?;
-                self.resync()?;
-                continue;
-            }
-            let frame_len = FRAME_PREFIX + declared_len + 4;
-            self.fill(frame_len)?;
-            if self.available() < frame_len {
-                self.pos = self.buf.len();
-                self.done = true;
-                self.defect(ChunkDefect::Truncated { at })?;
-                if !self.footer_seen {
-                    self.defect(ChunkDefect::MissingFooter)?;
+            let head = match codec::frame_head(&self.buf[self.pos..], frame_bound) {
+                Ok(head) => head,
+                Err(FrameError::Truncated) => return self.truncated_tail(at),
+                Err(e) => {
+                    self.defect(ChunkDefect::from_frame(at, e))?;
+                    self.resync()?;
+                    continue;
                 }
+            };
+            self.fill(head.frame_len())?;
+            let payload = match codec::frame_payload(&self.buf[self.pos..], head) {
+                Ok(payload) => payload,
+                Err(FrameError::Truncated) => return self.truncated_tail(at),
+                Err(e) => {
+                    // The frame shape was plausible, so skip it wholesale —
+                    // resyncing into the middle of a damaged payload would
+                    // only manufacture bad-magic noise.
+                    self.pos += head.frame_len();
+                    self.chunks_quarantined += 1;
+                    self.defect(ChunkDefect::from_frame(at, e))?;
+                    continue;
+                }
+            };
+            if head.magic() == FOOTER_MAGIC {
+                let mut r = BodyReader::new(payload);
+                let fields = (r.u64(), r.u64(), r.finish());
+                self.pos += head.frame_len();
+                let checked = match fields {
+                    (Ok(total), Ok(_duration_bits), Ok(())) => self.check_footer(total),
+                    _ => Err(ChunkDefect::Malformed { at, what: "footer payload length" }),
+                };
+                if let Err(defect) = checked {
+                    self.defect(defect)?;
+                    continue;
+                }
+                self.footer_seen = true;
+                self.done = true;
                 return Ok(());
             }
-            let payload_start = self.pos + FRAME_PREFIX;
-            let payload = &self.buf[payload_start..payload_start + declared_len];
-            let declared_crc = get_u32(&self.buf, payload_start + declared_len).unwrap_or(0);
-            let actual_crc = crc32(payload);
-            if declared_crc != actual_crc {
-                // The frame shape was plausible, so skip it wholesale —
-                // resyncing into the middle of a damaged payload would
-                // only manufacture bad-magic noise.
-                self.pos += frame_len;
-                self.chunks_quarantined += 1;
-                self.defect(ChunkDefect::ChecksumMismatch {
-                    at,
-                    expected: declared_crc,
-                    found: actual_crc,
-                })?;
-                continue;
-            }
-            if magic == FOOTER_MAGIC {
-                self.pos += frame_len;
-                match self.decode_footer(at, declared_len) {
-                    Ok(()) => {
-                        self.footer_seen = true;
-                        self.done = true;
-                        return Ok(());
-                    }
-                    Err(defect) => {
-                        self.defect(defect)?;
-                        continue;
-                    }
-                }
-            }
-            match decode_chunk_payload(at, payload) {
+            let decoded = decode_chunk_payload(at, payload);
+            self.pos += head.frame_len();
+            match decoded {
                 Ok((first_index, intervals)) => {
-                    self.pos += frame_len;
                     if first_index != self.expected_index {
                         self.intervals_lost += first_index.saturating_sub(self.expected_index);
                         self.defect(ChunkDefect::IndexGap {
@@ -1119,21 +1049,14 @@ impl<R: Read> TraceReader<R> {
                     return Ok(());
                 }
                 Err(defect) => {
-                    self.pos += frame_len;
                     self.chunks_quarantined += 1;
                     self.defect(defect)?;
-                    continue;
                 }
             }
         }
     }
 
-    fn decode_footer(&mut self, at: u64, declared_len: usize) -> Result<(), ChunkDefect> {
-        if declared_len != FOOTER_PAYLOAD {
-            return Err(ChunkDefect::Malformed { at, what: "footer payload length" });
-        }
-        let payload_start = self.pos - 4 - FOOTER_PAYLOAD;
-        let declared_total = get_u64(&self.buf, payload_start).unwrap_or(0);
+    fn check_footer(&mut self, declared_total: u64) -> Result<(), ChunkDefect> {
         let accounted = self.intervals_emitted
             + (self.current.len() - self.current_pos) as u64
             + self.intervals_lost;
@@ -1149,32 +1072,29 @@ impl<R: Read> TraceReader<R> {
 }
 
 fn decode_chunk_payload(at: u64, payload: &[u8]) -> Result<(u64, Vec<TraceInterval>), ChunkDefect> {
-    if payload.len() < CHUNK_PREFIX {
-        return Err(ChunkDefect::Malformed { at, what: "chunk payload shorter than prefix" });
-    }
-    let first_index =
-        get_u64(payload, 0).ok_or(ChunkDefect::Malformed { at, what: "chunk prefix" })?;
-    let count =
-        get_u32(payload, 8).ok_or(ChunkDefect::Malformed { at, what: "chunk prefix" })? as usize;
+    let malformed = |what| ChunkDefect::Malformed { at, what };
+    let mut r = BodyReader::new(payload);
+    let (Ok(first_index), Ok(count)) = (r.u64(), r.u32()) else {
+        return Err(malformed("chunk payload shorter than prefix"));
+    };
+    let count = count as usize;
     if count > MAX_CHUNK_INTERVALS {
-        return Err(ChunkDefect::Malformed { at, what: "chunk interval count over bound" });
+        return Err(malformed("chunk interval count over bound"));
     }
-    if payload.len() != CHUNK_PREFIX + count * BYTES_PER_INTERVAL {
-        return Err(ChunkDefect::Malformed { at, what: "payload length != 12 + 17 * count" });
+    if r.remaining() != count * BYTES_PER_INTERVAL {
+        return Err(malformed("payload length != 12 + 17 * count"));
     }
-    let durations_at = CHUNK_PREFIX;
-    let tags_at = durations_at + count * 8;
-    let ars_at = tags_at + count;
+    // The length check above guarantees all three columns.
+    let (Ok(durations), Ok(tags), Ok(ars)) = (r.raw(count * 8), r.raw(count), r.raw(count * 8))
+    else {
+        return Err(malformed("payload length != 12 + 17 * count"));
+    };
     let mut intervals = Vec::with_capacity(count);
-    for i in 0..count {
-        let duration_bits = get_u64(payload, durations_at + i * 8)
-            .ok_or(ChunkDefect::Malformed { at, what: "duration column" })?;
-        let tag = payload[tags_at + i];
-        let ar_bits = get_u64(payload, ars_at + i * 8)
-            .ok_or(ChunkDefect::Malformed { at, what: "ar column" })?;
+    let columns = codec::u64_column(durations).zip(tags).zip(codec::u64_column(ars));
+    for ((duration_bits, &tag), ar_bits) in columns {
         let duration = Seconds::new(f64::from_bits(duration_bits));
         let interval = if tag & TAG_ACTIVE != 0 {
-            let wl = decode_workload(tag & !TAG_ACTIVE)
+            let wl = codec::workload_from_tag(tag & !TAG_ACTIVE)
                 .ok_or(ChunkDefect::Malformed { at, what: "unknown workload tag" })?;
             let ar = ApplicationRatio::new(f64::from_bits(ar_bits))
                 .map_err(|source| ChunkDefect::InvalidInterval { at, source })?;
@@ -1222,19 +1142,17 @@ pub struct FrameSpan {
 /// is meant to run on bytes this module just encoded); returns `None`
 /// as soon as the structure stops making sense.
 pub fn frame_spans(bytes: &[u8]) -> Option<Vec<FrameSpan>> {
-    let name_len = get_u32(bytes, 12)? as usize;
-    let header_len = 16 + name_len + 4;
+    let header_len = header_len(bytes.get(..HEADER_FIXED)?).ok()?;
     bytes.get(..header_len)?;
     let mut spans = vec![FrameSpan { offset: 0, len: header_len, kind: FrameKind::Header }];
     let mut at = header_len;
     while at < bytes.len() {
-        let magic = get_u32(bytes, at)?;
-        let payload_len = get_u32(bytes, at + 4)? as usize;
-        let len = FRAME_PREFIX + payload_len + 4;
+        let head = codec::frame_head(&bytes[at..], |_| Some(usize::MAX)).ok()?;
+        let len = head.frame_len();
         bytes.get(at..at + len)?;
-        let kind = match magic {
-            m if m == CHUNK_MAGIC => FrameKind::Chunk,
-            m if m == FOOTER_MAGIC => FrameKind::Footer,
+        let kind = match head.magic() {
+            CHUNK_MAGIC => FrameKind::Chunk,
+            FOOTER_MAGIC => FrameKind::Footer,
             _ => return None,
         };
         spans.push(FrameSpan { offset: at, len, kind });
@@ -1352,6 +1270,7 @@ fn collect_trace<R: Read>(
 mod tests {
     use super::*;
     use crate::synthetic::TraceGenerator;
+    use crate::WorkloadType;
 
     fn ar(v: f64) -> ApplicationRatio {
         ApplicationRatio::new(v).unwrap()
@@ -1377,11 +1296,6 @@ mod tests {
             intervals.push(interval);
         }
         Trace::new("sample", intervals)
-    }
-
-    #[test]
-    fn crc_matches_wire_vector() {
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
     }
 
     #[test]
@@ -1478,8 +1392,8 @@ mod tests {
         let mut bytes = encode_trace(&sample_trace(4), 4).unwrap();
         bytes[4] = 9; // version
                       // Re-seal the header CRC so only the version is wrong.
-        let name_len = get_u32(&bytes, 12).unwrap() as usize;
-        let crc = crc32(&bytes[..16 + name_len]);
+        let name_len = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
+        let crc = codec::crc32(&bytes[..16 + name_len]);
         bytes[16 + name_len..16 + name_len + 4].copy_from_slice(&crc.to_le_bytes());
         assert!(matches!(
             TraceReader::from_bytes(&bytes, DefectPolicy::Quarantine),
@@ -1496,7 +1410,7 @@ mod tests {
         assert_eq!(chunks.len(), 8);
         // Poison the third chunk's payload.
         let mut bad = bytes.clone();
-        bad[chunks[2].offset + FRAME_PREFIX + 20] ^= 0x40;
+        bad[chunks[2].offset + codec::FRAME_HEAD + 20] ^= 0x40;
         let (decoded, summary) = decode_trace(&bad, DefectPolicy::Quarantine).unwrap();
         assert_eq!(decoded.intervals().len(), 256 - 32);
         assert_eq!(summary.chunks_quarantined, 1);
